@@ -3,47 +3,142 @@
 Subcommands: ingest, stats, agg-gauss, tgarch, mfdfa, rolling, join,
 simulate.  Every run writes its outputs plus a manifest JSON
 (<output>.manifest.json) recording the subcommand, inputs, every resolved
-configuration value, the tool version, and seeds; re-running a manifest's
-settings reproduces the outputs byte-identically.
+setting, the tool version, and seeds.  The manifest's ``config`` block is
+itself a --config file: re-running with it and the same inputs reproduces
+the outputs byte-identically.
 
-Configuration precedence: command-line flags > --config JSON file >
-built-in defaults.  Relative input paths are resolved against
-$MFVOL_DATA_DIR when set.  All numeric output uses 17 significant digits.
+Each setting is declared once, in SETTINGS: its flag is --<name> with "-"
+for "_", its --config key is <name>, and its value resolves as
+command-line flag > --config JSON file > default.  A config key that no
+subcommand knows is a usage error; a key of another subcommand is ignored,
+so one config file can serve a whole pipeline.  Relative input paths are
+resolved against $MFVOL_DATA_DIR when set.  All numeric output uses 17
+significant digits.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, ingest, mfdfa, rolling, stats, synth, tgarch
 
-DEFAULTS = {
-    "delta_t": 1440,
-    "outlier_threshold": 40.0,
-    "outlier_mode": "positive-only",
-    "window": 548,
-    "step": 30,
-    "mfdfa_step": 1,
-    "dist": "student-t",
-    "fit_min": 20,
-    "fit_max": 100,
-    "s_min": 16,
-    "s_max": 128,
-    "n_scales": 20,
-    "detrend_order": 3,
-    "degree_q": 4.0,
-    "threads": 1,
-    "seed": 1,
-    "s0": 0.0,
-    "r_bar_mode": "abs",
-    "min_nobs": 200,
-}
-
 
 class UsageError(ValueError):
     """Bad command-line settings, found before any input is read (exit 2)."""
+
+
+def _int_list(text):
+    """Comma-separated integers from a flag, or a list of them from a config file."""
+    items = text.split(",") if isinstance(text, str) else text
+    return [int(x) for x in items]
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One CLI setting: its flag, its --config key and its manifest entry."""
+
+    name: str
+    type: Callable
+    default: object  # a value, or a function of the settings resolved before it
+    subcommands: tuple
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+    def from_config(self, value):
+        """A --config value, converted and checked as argparse checks the flag.
+
+        A scalar is converted from its text, so 60.7 or true is no integer."""
+        try:
+            value = self.type(value if isinstance(value, list) else str(value))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key {self.name!r}: {exc}") from None
+        if self.choices and value not in self.choices:
+            raise UsageError(f"config key {self.name!r}: {value!r} is not one of "
+                             f"{', '.join(self.choices)}")
+        return value
+
+
+_MFDFA = mfdfa.MfdfaConfig()
+_MFDFA_USERS = ("mfdfa", "rolling")
+_SIM = ("simulate",)
+_REQUIRED = "required, as a flag or in --config"
+
+SETTINGS = (
+    Setting("delta_t", int, 1440, ("ingest",), help="bar length in minutes"),
+    Setting("outlier_threshold", float, ingest.OUTLIER_THRESHOLD_DEFAULT, ("ingest",)),
+    Setting("outlier_mode", str, "positive-only", ("ingest",),
+            choices=("positive-only", "symmetric", "none")),
+    Setting("s0", float, 0.0, ("stats",)),
+    Setting("r_bar_mode", str, "abs", ("stats",), choices=("abs", "literal")),
+    Setting("volatility_output", str, None, ("stats",),
+            help="also write the volatility series to this CSV"),
+    Setting("delta_ts", _int_list, None, ("agg-gauss",), required=True,
+            help="comma-separated minutes; " + _REQUIRED),
+    # agg-gauss fits over sampling periods in minutes, the MF-DFA users over
+    # scales in bars: two settings that share a name
+    Setting("fit_min", int, None, ("agg-gauss",), help="default: the shortest period kept"),
+    Setting("fit_max", int, None, ("agg-gauss",), help="default: the longest period kept"),
+    Setting("min_nobs", int, 200, ("agg-gauss",)),
+    Setting("fit_min", int, _MFDFA.fit_range[0], _MFDFA_USERS),
+    Setting("fit_max", int, _MFDFA.fit_range[1], _MFDFA_USERS),
+    Setting("s_min", int, int(_MFDFA.s_grid.min()), _MFDFA_USERS),
+    Setting("s_max", int, int(_MFDFA.s_grid.max()), _MFDFA_USERS),
+    Setting("n_scales", int, len(_MFDFA.s_grid), _MFDFA_USERS),
+    Setting("detrend_order", int, _MFDFA.detrend_order, _MFDFA_USERS),
+    Setting("degree_q", float, _MFDFA.degree_q, _MFDFA_USERS),
+    Setting("estimator", str, None, ("rolling",), choices=("tgarch", "mfdfa", "stats"),
+            required=True, help=_REQUIRED),
+    Setting("window", int, rolling.RollingConfig.window, ("rolling",)),
+    # the one default that depends on another setting
+    Setting("step", int,
+            lambda s: 1 if s["estimator"] == "mfdfa" else rolling.RollingConfig.step,
+            ("rolling",), help="default: 1 for the mfdfa estimator, "
+                               f"{rolling.RollingConfig.step} otherwise"),
+    Setting("dist", str, tgarch.TgarchParams.dist, ("tgarch", "rolling", "simulate"),
+            choices=tuple(tgarch.DEFAULT_SHAPE)),
+    Setting("model", str, None, _SIM, choices=("gaussian", "cascade", "tgarch"),
+            required=True, help=_REQUIRED),
+    Setting("n", int, 10000, _SIM),
+    Setting("seed", int, 1, _SIM),
+    Setting("levels", int, 16, _SIM),
+    Setting("a", float, 0.75, _SIM),
+    Setting("mu", float, 0.0, _SIM),
+    Setting("c1", float, 0.0, _SIM),
+    Setting("omega", float, 0.2, _SIM),
+    Setting("alpha", float, 0.1, _SIM),
+    Setting("beta", float, 0.8, _SIM),
+    Setting("gamma", float, -0.05, _SIM),
+    Setting("shape", float, None, _SIM, help="default: set by --dist"),
+)
+
+
+def resolve(args, config):
+    """The subcommand's settings by name: flag > --config > default."""
+    unknown = sorted(set(config) - {s.name for s in SETTINGS})
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    resolved = {}
+    for s in SETTINGS:
+        if args.subcommand not in s.subcommands:
+            continue
+        value = getattr(args, s.name)
+        if value is None and config.get(s.name) is not None:
+            value = s.from_config(config[s.name])
+        if value is None:
+            value = s.default(resolved) if callable(s.default) else s.default
+        if value is None and s.required:
+            raise UsageError(f"{s.flag} is required, as a flag or as config key {s.name!r}")
+        resolved[s.name] = value
+    return resolved
 
 
 def _json_sidecar(output):
@@ -67,17 +162,14 @@ def _resolve_input(path):
 def _load_config(path):
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _setting(args, config, key):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {path}: expected a JSON object of settings")
+    return config
 
 
 def _write(path, text):
@@ -86,15 +178,15 @@ def _write(path, text):
         fh.write(text)
 
 
-def _write_manifest(output, subcommand, inputs, resolved, seeds=None):
+def _write_manifest(args, settings, seeds):
     manifest = {
-        "subcommand": subcommand,
-        "inputs": [str(p) for p in inputs],
-        "config": resolved,
+        "subcommand": args.subcommand,
+        "inputs": [str(p) for p in args.inputs],
+        "config": settings,
         "version": __version__,
         "seeds": seeds or {},
     }
-    _write(str(output) + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    _write(str(args.output) + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _read_returns(path):
@@ -102,115 +194,83 @@ def _read_returns(path):
         return ingest.read_returns_csv(fh)
 
 
-def cmd_ingest(args, config):
-    delta_t = int(_setting(args, config, "delta_t"))
-    threshold = float(_setting(args, config, "outlier_threshold"))
-    mode = _setting(args, config, "outlier_mode")
-    sidecar = _json_sidecar(args.output)
-    with open(_resolve_input(args.input)) as fh:
+def cmd_ingest(s, inputs, output):
+    sidecar = _json_sidecar(output)
+    with open(_resolve_input(inputs[0])) as fh:
         ticks = ingest.parse_ticks(fh)
-    prices = ingest.resample_last(ticks, delta_t)
+    prices = ingest.resample_last(ticks, s["delta_t"])
     returns = ingest.log_returns(prices)
-    if mode != "none":
-        returns = ingest.filter_outliers(returns, threshold, mode)
-    _write(args.output, ingest.returns_to_csv(returns))
+    if s["outlier_mode"] != "none":
+        returns = ingest.filter_outliers(returns, s["outlier_threshold"], s["outlier_mode"])
+    _write(output, ingest.returns_to_csv(returns))
     _write(sidecar, ingest.returns_to_json(returns))
-    _write_manifest(
-        args.output, "ingest", [args.input],
-        {"delta_t": delta_t, "outlier_threshold": threshold, "outlier_mode": mode},
-    )
-    return 0
 
 
-def cmd_stats(args, config):
-    returns = _read_returns(args.input)
-    s0 = float(_setting(args, config, "s0"))
-    r_bar_mode = _setting(args, config, "r_bar_mode")
+def cmd_stats(s, inputs, output):
+    returns = _read_returns(inputs[0])
     desc = stats.descriptive(returns.values)
-    vol = stats.volatility_series(returns, s0=s0, r_bar_mode=r_bar_mode)
-    doc = {"descriptive": desc.as_dict(), "r_bar": vol.r_bar, "s0": s0}
-    _write(args.output, json.dumps(doc, indent=2))
-    if args.volatility_output:
+    vol = stats.volatility_series(returns, s0=s["s0"], r_bar_mode=s["r_bar_mode"])
+    doc = {"descriptive": desc.as_dict(), "r_bar": vol.r_bar, "s0": s["s0"]}
+    _write(output, json.dumps(doc, indent=2))
+    if s["volatility_output"]:
         lines = ["t,s"]
         lines += [f"{i},{format(v, '.17g')}" for i, v in enumerate(vol.values)]
-        _write(args.volatility_output, "\n".join(lines) + "\n")
-    _write_manifest(args.output, "stats", [args.input],
-                    {"s0": s0, "r_bar_mode": r_bar_mode})
-    return 0
+        _write(s["volatility_output"], "\n".join(lines) + "\n")
 
 
-def cmd_agg_gauss(args, config):
-    delta_ts = [int(x) for x in args.delta_ts.split(",")]
-    min_nobs = int(_setting(args, config, "min_nobs"))
+def cmd_agg_gauss(s, inputs, output):
     fit_range = None
-    if args.fit_min is not None and args.fit_max is not None:
-        fit_range = (int(args.fit_min), int(args.fit_max))
-    sidecar = _json_sidecar(args.output)
-    with open(_resolve_input(args.input)) as fh:
+    if s["fit_min"] is not None and s["fit_max"] is not None:
+        fit_range = (s["fit_min"], s["fit_max"])
+    sidecar = _json_sidecar(output)
+    with open(_resolve_input(inputs[0])) as fh:
         ticks = ingest.parse_ticks(fh)
-    scan = stats.agg_gaussianity_scan(ticks, delta_ts, fit_range=fit_range,
-                                      min_nobs=min_nobs)
-    _write(args.output, stats.scan_to_csv(scan))
+    scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
+                                      min_nobs=s["min_nobs"])
+    _write(output, stats.scan_to_csv(scan))
     summary = {
         "slope": scan.slope, "slope_se": scan.slope_se,
         "fit_range": list(scan.fit_range), "warnings": scan.warnings,
     }
     _write(sidecar, json.dumps(summary, indent=2))
-    _write_manifest(args.output, "agg-gauss", [args.input],
-                    {"delta_ts": delta_ts, "fit_range": list(scan.fit_range),
-                     "min_nobs": min_nobs})
-    return 0
 
 
-def cmd_tgarch(args, config):
-    dist = _setting(args, config, "dist")
-    returns = _read_returns(args.input)
-    fit = tgarch.fit(returns.values, dist=dist)
-    _write(args.output, tgarch.fit_to_json(fit))
-    _write_manifest(args.output, "tgarch", [args.input], {"dist": dist},
-                    seeds={"multistart": tgarch.FitConfig().seed})
-    return 0
+def cmd_tgarch(s, inputs, output):
+    returns = _read_returns(inputs[0])
+    fit = tgarch.fit(returns.values, dist=s["dist"])
+    _write(output, tgarch.fit_to_json(fit))
+    return {"multistart": tgarch.FitConfig().seed}
 
 
-def _mfdfa_config(args, config):
-    fit_range = (int(_setting(args, config, "fit_min")),
-                 int(_setting(args, config, "fit_max")))
+def _mfdfa_config(s):
+    fit_range = (s["fit_min"], s["fit_max"])
     # the scale grid always covers the requested fit range
-    s_min = min(int(_setting(args, config, "s_min")), fit_range[0])
-    s_max = max(int(_setting(args, config, "s_max")), fit_range[1])
     return mfdfa.MfdfaConfig(
-        s_grid=mfdfa.scale_grid(s_min, s_max,
-                                int(_setting(args, config, "n_scales"))),
-        detrend_order=int(_setting(args, config, "detrend_order")),
+        s_grid=mfdfa.scale_grid(min(s["s_min"], fit_range[0]),
+                                max(s["s_max"], fit_range[1]), s["n_scales"]),
+        detrend_order=s["detrend_order"],
         fit_range=fit_range,
-        degree_q=float(_setting(args, config, "degree_q")),
+        degree_q=s["degree_q"],
     )
 
 
-def cmd_mfdfa(args, config):
-    cfg = _mfdfa_config(args, config)
-    returns = _read_returns(args.input)
+def cmd_mfdfa(s, inputs, output):
+    cfg = _mfdfa_config(s)
+    returns = _read_returns(inputs[0])
     result = mfdfa.analyze(returns.values, cfg)
-    prefix = args.output
-    _write(f"{prefix}_fq.csv", mfdfa.fluct_to_csv(result["fluctuation"]))
-    _write(f"{prefix}_hurst.csv", mfdfa.hurst_to_csv(result["hurst"]))
-    _write(f"{prefix}_spectrum.csv", mfdfa.spectrum_to_csv(result["spectrum"]))
+    _write(f"{output}_fq.csv", mfdfa.fluct_to_csv(result["fluctuation"]))
+    _write(f"{output}_hurst.csv", mfdfa.hurst_to_csv(result["hurst"]))
+    _write(f"{output}_spectrum.csv", mfdfa.spectrum_to_csv(result["spectrum"]))
     summary = {"h2": result["h2"], "dh": result["dh"], "dalpha": result["dalpha"],
                "degree_q": cfg.degree_q}
-    _write(f"{prefix}_summary.json", json.dumps(summary, indent=2))
-    _write_manifest(prefix, "mfdfa", [args.input], {
-        "detrend_order": cfg.detrend_order, "fit_range": list(cfg.fit_range),
-        "scale_grid": [int(cfg.s_grid.min()), int(cfg.s_grid.max()),
-                       len(cfg.s_grid)],
-        "degree_q": cfg.degree_q,
-    })
-    return 0
+    _write(f"{output}_summary.json", json.dumps(summary, indent=2))
 
 
-def _rolling_estimator(name, dist, cfg):
+def _rolling_estimator(s):
+    name = s["estimator"]
     if name == "tgarch":
         def run(values):
-            fit = tgarch.fit(values, dist=dist)
+            fit = tgarch.fit(values, dist=s["dist"])
             payload = {k: v for k, v in fit.params.as_dict().items()
                        if k not in ("dist",)}
             payload["loglik"] = fit.loglik
@@ -222,6 +282,8 @@ def _rolling_estimator(name, dist, cfg):
             return payload
         return run
     if name == "mfdfa":
+        cfg = _mfdfa_config(s)
+
         def run(values):
             result = mfdfa.analyze(values, cfg)
             return {"h2": result["h2"], "dh": result["dh"], "dalpha": result["dalpha"]}
@@ -233,164 +295,88 @@ def _rolling_estimator(name, dist, cfg):
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def cmd_rolling(args, config):
-    window = int(_setting(args, config, "window"))
-    default_step = DEFAULTS["mfdfa_step"] if args.estimator == "mfdfa" else DEFAULTS["step"]
-    step = int(args.step) if args.step is not None else int(config.get("step", default_step))
-    dist = _setting(args, config, "dist")
-    threads = int(_setting(args, config, "threads"))
-    returns = _read_returns(args.input)
-    estimator = _rolling_estimator(args.estimator, dist, _mfdfa_config(args, config))
+def cmd_rolling(s, inputs, output):
+    returns = _read_returns(inputs[0])
     track = rolling.rolling_apply(
-        returns, rolling.RollingConfig(window=window, step=step), estimator,
-        threads=threads,
+        returns, rolling.RollingConfig(window=s["window"], step=s["step"]),
+        _rolling_estimator(s),
     )
-    _write(args.output, rolling.track_to_csv(track))
-    _write_manifest(args.output, "rolling", [args.input], {
-        "estimator": args.estimator, "window": window, "step": step,
-        "dist": dist, "threads": threads,
-    })
-    return 0
+    _write(output, rolling.track_to_csv(track))
+    if s["estimator"] == "tgarch":
+        return {"multistart": tgarch.FitConfig().seed}
 
 
-def cmd_join(args, config):
-    tracks, names = [], []
-    for path in args.inputs:
+def cmd_join(s, inputs, output):
+    tracks = []
+    for path in inputs:
         with open(_resolve_input(path)) as fh:
             tracks.append(rolling.read_track_csv(fh.read()))
-        names.append(Path(path).stem)
-    table = rolling.join_measures(tracks, names=names)
-    _write(args.output, rolling.joined_to_csv(table))
-    _write_manifest(args.output, "join", args.inputs, {"dropped": table.dropped})
-    return 0
+    table = rolling.join_measures(tracks, names=[Path(p).stem for p in inputs])
+    _write(output, rolling.joined_to_csv(table))
 
 
-def cmd_simulate(args, config):
-    seed = int(_setting(args, config, "seed"))
-    if args.model == "gaussian":
-        series = synth.gaussian_noise(args.n, seed)
-    elif args.model == "cascade":
-        series = synth.binomial_cascade(synth.CascadeSpec(levels=args.levels, a=args.a))
-    elif args.model == "tgarch":
-        params = tgarch.TgarchParams(
-            mu=args.mu, c1=args.c1, omega=args.omega, alpha=args.alpha,
-            beta=args.beta, gamma=args.gamma, dist=args.dist or DEFAULTS["dist"],
-            shape=args.shape,
-        )
-        series = tgarch.simulate(params, args.n, seed)
+def cmd_simulate(s, inputs, output):
+    if s["model"] == "gaussian":
+        series = synth.gaussian_noise(s["n"], s["seed"])
+    elif s["model"] == "cascade":
+        series = synth.binomial_cascade(synth.CascadeSpec(levels=s["levels"], a=s["a"]))
+    elif s["model"] == "tgarch":
+        names = ("mu", "c1", "omega", "alpha", "beta", "gamma", "dist", "shape")
+        params = tgarch.TgarchParams(**{k: s[k] for k in names})
+        series = tgarch.simulate(params, s["n"], s["seed"])
     else:
-        raise ValueError(f"unknown model {args.model!r}")
+        raise ValueError(f"unknown model {s['model']!r}")
     lines = ["timestamp,value,flag"]
     lines += [f"{i * 86400},{format(float(v), '.17g')},ok" for i, v in enumerate(series)]
-    _write(args.output, "\n".join(lines) + "\n")
-    _write_manifest(args.output, "simulate", [], {
-        "model": args.model, "n": getattr(args, "n", None),
-        "levels": getattr(args, "levels", None), "a": getattr(args, "a", None),
-    }, seeds={"series": seed})
-    return 0
+    _write(output, "\n".join(lines) + "\n")
+    return {"series": s["seed"]}
+
+
+# subcommand: (function, help, inputs: "one", "many" or None)
+COMMANDS = {
+    "ingest": (cmd_ingest, "ticks CSV -> cleaned returns CSV/JSON", "one"),
+    "stats": (cmd_stats, "descriptive statistics with jackknife errors", "one"),
+    "agg-gauss": (cmd_agg_gauss, "kurtosis vs sampling period scan", "one"),
+    "tgarch": (cmd_tgarch, "AR(1)+TGARCH maximum-likelihood fit", "one"),
+    "mfdfa": (cmd_mfdfa, "multifractal DFA analysis", "one"),
+    "rolling": (cmd_rolling, "rolling-window estimator tracks", "one"),
+    "join": (cmd_join, "inner-join rolling tracks on window end", "many"),
+    "simulate": (cmd_simulate, "synthetic series (gaussian, cascade, tgarch)", None),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="mfvol", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flags take precedence)")
+    parsers = {}
+    for name, (func, text, inputs) in COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON object of settings keyed by name "
+                                        "(flags take precedence)")
         p.add_argument("--output", "-o", required=True)
-
-    p = sub.add_parser("ingest", help="ticks CSV -> cleaned returns CSV/JSON")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--delta-t", dest="delta_t", type=int)
-    p.add_argument("--outlier-threshold", dest="outlier_threshold", type=float)
-    p.add_argument("--outlier-mode", dest="outlier_mode",
-                   choices=["positive-only", "symmetric", "none"])
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stats", help="descriptive statistics with jackknife errors")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--s0", type=float)
-    p.add_argument("--r-bar-mode", dest="r_bar_mode", choices=["abs", "literal"])
-    p.add_argument("--volatility-output")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("agg-gauss", help="kurtosis vs sampling period scan")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--delta-ts", required=True, help="comma-separated minutes")
-    p.add_argument("--fit-min", type=int)
-    p.add_argument("--fit-max", type=int)
-    p.add_argument("--min-nobs", dest="min_nobs", type=int)
-    p.set_defaults(func=cmd_agg_gauss)
-
-    p = sub.add_parser("tgarch", help="AR(1)+TGARCH maximum-likelihood fit")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--dist", choices=["student-t", "normal", "ged"])
-    p.set_defaults(func=cmd_tgarch)
-
-    p = sub.add_parser("mfdfa", help="multifractal DFA analysis")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--fit-min", dest="fit_min", type=int)
-    p.add_argument("--fit-max", dest="fit_max", type=int)
-    p.add_argument("--s-min", dest="s_min", type=int)
-    p.add_argument("--s-max", dest="s_max", type=int)
-    p.add_argument("--n-scales", dest="n_scales", type=int)
-    p.add_argument("--detrend-order", dest="detrend_order", type=int)
-    p.add_argument("--degree-q", dest="degree_q", type=float)
-    p.set_defaults(func=cmd_mfdfa)
-
-    p = sub.add_parser("rolling", help="rolling-window estimator tracks")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--estimator", required=True, choices=["tgarch", "mfdfa", "stats"])
-    p.add_argument("--window", type=int)
-    p.add_argument("--step", type=int)
-    p.add_argument("--dist", choices=["student-t", "normal", "ged"])
-    p.add_argument("--threads", type=int)
-    p.add_argument("--fit-min", dest="fit_min", type=int)
-    p.add_argument("--fit-max", dest="fit_max", type=int)
-    p.add_argument("--s-min", dest="s_min", type=int)
-    p.add_argument("--s-max", dest="s_max", type=int)
-    p.add_argument("--n-scales", dest="n_scales", type=int)
-    p.add_argument("--detrend-order", dest="detrend_order", type=int)
-    p.add_argument("--degree-q", dest="degree_q", type=float)
-    p.set_defaults(func=cmd_rolling)
-
-    p = sub.add_parser("join", help="inner-join rolling tracks on window end")
-    common(p)
-    p.add_argument("--inputs", nargs="+", required=True)
-    p.set_defaults(func=cmd_join)
-
-    p = sub.add_parser("simulate", help="synthetic series (gaussian, cascade, tgarch)")
-    common(p)
-    p.add_argument("--model", required=True, choices=["gaussian", "cascade", "tgarch"])
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--levels", type=int, default=16)
-    p.add_argument("--a", type=float, default=0.75)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=0.2)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.8)
-    p.add_argument("--gamma", type=float, default=-0.05)
-    p.add_argument("--dist", choices=["student-t", "normal", "ged"])
-    p.add_argument("--shape", type=float)
-    p.set_defaults(func=cmd_simulate)
-
+        if inputs == "one":
+            p.add_argument("--input", dest="inputs", nargs=1, metavar="INPUT", required=True)
+        elif inputs == "many":
+            p.add_argument("--inputs", nargs="+", required=True)
+        else:
+            p.set_defaults(inputs=[])
+        p.set_defaults(func=func)
+    for s in SETTINGS:
+        for name in s.subcommands:
+            parsers[name].add_argument(s.flag, type=s.type, choices=s.choices,
+                                       help=s.help or f"default: {s.default}")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(getattr(args, "config", None))
     try:
-        return args.func(args, config)
+        settings = resolve(args, _load_config(args.config))
+        seeds = args.func(settings, args.inputs, args.output)
+        _write_manifest(args, settings, seeds)
+        return 0
     except UsageError as exc:
         parser.error(str(exc))
     except Exception as exc:

@@ -81,7 +81,6 @@ class SingularitySpectrum:
     q_grid: np.ndarray
     alpha: np.ndarray
     f: np.ndarray
-    derivative_scheme: str = "central differences, one-sided at ends"
 
 
 def profile(returns) -> np.ndarray:
@@ -113,7 +112,7 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
             f"profile of length {n} too short for 2 segments at s={int(s_grid.max())}"
         )
 
-    zero_tol = max(float(np.max(np.abs(y))) ** 2 * 1e-26, 0.0)
+    zero_tol = float(np.max(np.abs(y))) ** 2 * 1e-26
     values = np.empty((len(q_grid), len(s_grid)))
     excluded = np.zeros((len(q_grid), len(s_grid)), dtype=int)
 

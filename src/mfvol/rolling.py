@@ -6,7 +6,6 @@ covers indices [k*step, k*step + window).  Failed estimator calls become
 flagged rows rather than silent gaps.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +33,8 @@ def n_windows(n_obs: int, window: int, step: int) -> int:
     return (n_obs - window) // step + 1
 
 
-def rolling_apply(series, config: RollingConfig, estimator, threads: int = 1) -> RollingTrack:
-    """Apply estimator to every window; deterministic row order regardless
-    of thread count.
+def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
+    """Apply estimator to every window, in window order.
 
     ``series`` is a ReturnSeries (window labels are timestamps) or a plain
     sequence (labels are indices).  ``estimator`` maps a window's values to
@@ -68,11 +66,7 @@ def rolling_apply(series, config: RollingConfig, estimator, threads: int = 1) ->
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, range(count)))
-    else:
-        rows = [run_one(k) for k in range(count)]
+    rows = [run_one(k) for k in range(count)]
     return RollingTrack(window=config.window, step=config.step, rows=rows)
 
 
@@ -144,7 +138,8 @@ def track_to_csv(track: RollingTrack) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_track_csv(text: str, window: int = 0, step: int = 0) -> RollingTrack:
+def read_track_csv(text: str) -> RollingTrack:
+    """Track from track_to_csv text; the CSV holds no window or step, so both read as 0."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     keys = header[2:-1]
@@ -164,7 +159,7 @@ def read_track_csv(text: str, window: int = 0, step: int = 0) -> RollingTrack:
         else:
             row["error"] = ""
         rows.append(row)
-    return RollingTrack(window=window, step=step, rows=rows)
+    return RollingTrack(window=0, step=0, rows=rows)
 
 
 def joined_to_csv(table: JoinedTable) -> str:

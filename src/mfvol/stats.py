@@ -119,13 +119,16 @@ def descriptive(values) -> DescriptiveStats:
     if m2 == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
 
-    skewness = m3 / m2**1.5
-    kurtosis = m4 / m2**2
-    if not kurtosis >= 1.0 + skewness**2 - 1e-12:
+    try:
+        skewness = m3 / m2**1.5
+        kurtosis = m4 / m2**2
+    except OverflowError:  # a Python float power raises where NumPy gives inf
+        skewness = kurtosis = math.inf
+    if not (math.isfinite(kurtosis) and kurtosis >= 1.0 + skewness**2 - 1e-12):
         # holds for every finite sample; fails only when the moments overflow
         raise ValueError(
             f"moments out of floating-point range: kurtosis {kurtosis!r} and "
-            f"skewness {skewness!r} violate Pearson's inequality"
+            f"skewness {skewness!r} are not finite or violate Pearson's inequality"
         )
 
     mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(x)
@@ -149,9 +152,8 @@ def volatility_series(returns, s0: float = 0.0, r_bar_mode: str = "abs") -> Vola
     drift-free (s_N = s_0 exactly); "literal" uses the mean of r_t.
     """
     if isinstance(returns, ingest.ReturnSeries):
-        r = returns.values
-    else:
-        r = np.asarray(returns, dtype=np.float64)
+        returns = returns.values
+    r = finite_array(returns, "returns")
     if len(r) == 0:
         raise ValueError("empty returns")
     if r_bar_mode == "abs":

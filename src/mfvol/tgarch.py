@@ -123,7 +123,7 @@ def _default_sigma2_init(returns):
 def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> VolatilityPath:
     """Run the residual/variance recursion under fixed parameters."""
     params.validate()
-    r = np.asarray(returns, dtype=np.float64)
+    r = finite_array(returns, "returns")
     if len(r) < 2:
         raise ValueError("need at least 2 returns")
     if sigma2_init is None:

@@ -25,6 +25,22 @@ class TestSimulate:
         assert manifest["seeds"] == {"series": 9}
         assert manifest["config"]["model"] == "gaussian"
 
+    def test_config_keys_honoured(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # "window" belongs to rolling: allowed, so one file serves a pipeline
+        cfg.write_text(json.dumps({"n": 50, "seed": 3, "model": "gaussian",
+                                   "window": 100}))
+        out = tmp_path / "noise.csv"
+        assert run(["simulate", "--config", str(cfg), "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        manifest = json.loads((tmp_path / "noise.csv.manifest.json").read_text())
+        assert manifest["seeds"] == {"series": 3}
+        assert manifest["config"]["n"] == 50
+        assert "window" not in manifest["config"]
+        assert run(["simulate", "--config", str(cfg), "--n", "20",
+                    "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 21  # flag wins
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--model", "tgarch", "--n", "300", "--seed", "4"]
@@ -124,7 +140,8 @@ class TestMfdfa:
         prefix = str(tmp_path / "mf")
         assert run(["mfdfa", "--input", str(series), "-o", prefix]) == 0
         manifest = json.loads((tmp_path / "mf.manifest.json").read_text())
-        assert manifest["config"]["fit_range"] == [
+        config = manifest["config"]
+        assert [config["fit_min"], config["fit_max"]] == [
             mfdfa.MfdfaConfig().fit_range[0], mfdfa.MfdfaConfig().fit_range[1]]
 
 
@@ -153,6 +170,23 @@ class TestErrorHandling:
             run(["simulate", "--model", "gaussian", "--bogus", "1",
                  "-o", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("config, key", [
+        ({"delta_tt": 60}, "delta_tt"),             # unknown key
+        ({"delta_t": 60.7}, "delta_t"),             # no integer
+        ({"outlier_mode": "both"}, "outlier_mode"),  # not a choice
+    ])
+    def test_bad_config_key_usage_error(self, tmp_path, ticks_3day_path, capsys,
+                                        config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--input", str(ticks_3day_path), "--config", str(cfg),
+                 "-o", str(out)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -204,3 +238,68 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--input", str(tmp_path / "missing.csv"), "-o", str(out)])
         assert exc.value.code == 2
+
+
+def _ticks_csv(n_days, seed):
+    """Ticks every 10 minutes with a Gaussian random-walk log price."""
+    rng = np.random.default_rng(seed)
+    n = n_days * 144
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
+    return "".join(f"{i * 600},{format(p, '.17g')},1\n" for i, p in enumerate(prices))
+
+
+_MFDFA_FLAGS = ["--fit-min", "10", "--fit-max", "40", "--s-min", "8", "--s-max", "50",
+                "--n-scales", "8", "--detrend-order", "2", "--degree-q", "3"]
+
+# subcommand: (input arguments, non-default settings, output)
+REPLAY_CASES = {
+    "ingest": (["--input", "{ticks}"], ["--delta-t", "60", "--outlier-threshold", "2.5",
+                                        "--outlier-mode", "symmetric"], "r.csv"),
+    "stats": (["--input", "{returns}"], ["--s0", "1.5", "--r-bar-mode", "literal",
+                                         "--volatility-output", "vol.csv"], "stats.json"),
+    "agg-gauss": (["--input", "{ticks}"], ["--delta-ts", "60,360,1440", "--fit-min", "60",
+                                           "--fit-max", "360", "--min-nobs", "5"],
+                  "agg.csv"),
+    "tgarch": (["--input", "{returns}"], ["--dist", "normal"], "fit.json"),
+    "mfdfa": (["--input", "{returns}"], _MFDFA_FLAGS, "mf"),
+    "rolling": (["--input", "{returns}"], ["--estimator", "mfdfa", "--window", "200",
+                                           "--step", "50", *_MFDFA_FLAGS], "track.csv"),
+    "join": (["--inputs", "{track}", "{track}"], [], "joined.csv"),
+    "simulate": ([], ["--model", "tgarch", "--n", "300", "--seed", "7", "--levels", "5",
+                      "--a", "0.6", "--mu", "0.01", "--c1", "0.05", "--omega", "0.3",
+                      "--alpha", "0.05", "--beta", "0.85", "--gamma", "0.02",
+                      "--dist", "ged", "--shape", "1.3"], "sim.csv"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(REPLAY_CASES))
+def test_manifest_config_replays_run(subcommand, tmp_path, monkeypatch):
+    """Re-running with only the inputs, -o and the manifest's config block as
+    --config reproduces every output byte for byte."""
+    data = tmp_path / "data"
+    data.mkdir()
+    paths = {"ticks": data / "ticks.csv", "returns": data / "returns.csv",
+             "track": data / "track.csv"}
+    paths["ticks"].write_text(_ticks_csv(10, seed=1))
+    run(["simulate", "--model", "gaussian", "--n", "400", "--seed", "2",
+         "-o", str(paths["returns"])])
+    run(["rolling", "--input", str(paths["returns"]), "--estimator", "stats",
+         "--window", "100", "--step", "50", "-o", str(paths["track"])])
+    inputs, settings, output = REPLAY_CASES[subcommand]
+    inputs = [arg.format(**paths) for arg in inputs]
+
+    def outputs(workdir, argv):
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)  # relative output paths land in workdir
+        assert run([subcommand, *inputs, *argv, "-o", output]) == 0
+        manifest = json.loads((workdir / f"{output}.manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in workdir.iterdir()
+                 if not p.name.endswith(".manifest.json")}
+        return manifest, files
+
+    manifest, first = outputs(tmp_path / "first", settings)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(manifest["config"]))
+    replayed, second = outputs(tmp_path / "second", ["--config", str(config)])
+    assert replayed["config"] == manifest["config"]
+    assert first and second == first

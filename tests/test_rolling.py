@@ -69,13 +69,6 @@ class TestEstimatorHandling:
         t2 = rolling.rolling_apply(series, cfg, mean_estimator)
         assert t1.rows == t2.rows
 
-    def test_parallel_matches_sequential(self):
-        series = make_returns(500, seed=3)
-        cfg = rolling.RollingConfig(window=100, step=5)
-        seq = rolling.rolling_apply(series, cfg, mean_estimator, threads=1)
-        par = rolling.rolling_apply(series, cfg, mean_estimator, threads=4)
-        assert rolling.track_to_csv(seq) == rolling.track_to_csv(par)
-
     def test_plain_sequence_uses_indices(self):
         track = rolling.rolling_apply(
             np.zeros(30), rolling.RollingConfig(window=10, step=10), mean_estimator

@@ -43,10 +43,15 @@ class TestDescriptive:
             stats.descriptive([1.0, 2.0, bad, 4.0, 5.0])
 
     def test_overflowing_moments_raise(self):
-        # finite input whose fourth moment overflows: the Pearson check fires
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="Pearson"):
-                stats.descriptive([1e200, -1e200, 3e200, 0.0, 2e200])
+        # finite input whose moments overflow: NumPy gives inf or NaN, a Python
+        # float power (m2**2 at 1e80) raises OverflowError, and the fourth
+        # moment alone can overflow while m2**2 stays finite (2e77)
+        for values in ([1e200, -1e200, 3e200, 0.0, 2e200],
+                       [1e80, -1e80, 3e80, 0.0, 2e80],
+                       [2e77, 0.0, 0.0, 0.0, 0.0]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="Pearson"):
+                    stats.descriptive(values)
 
     def test_pearson_inequality_holds(self):
         for seed in range(5):
@@ -132,6 +137,13 @@ class TestVolatilitySeries:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             stats.volatility_series(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        r = np.random.default_rng(0).standard_normal(300)
+        r[123] = bad
+        with pytest.raises(ValueError, match="non-finite .* index 123"):
+            stats.volatility_series(r)
 
 
 def _gaussian_ticks(n_days, seed, per_min_sd=0.05):

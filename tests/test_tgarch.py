@@ -55,6 +55,13 @@ class TestFilterVolatility:
         with pytest.raises(ValueError):
             tgarch.filter_volatility(normal_params(alpha=0.5, beta=0.7), [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        r = np.random.default_rng(0).standard_normal(300)
+        r[123] = bad
+        with pytest.raises(ValueError, match="non-finite .* index 123"):
+            tgarch.filter_volatility(normal_params(alpha=0.1, beta=0.8), r)
+
 
 class TestNegLogLikelihood:
     def test_standard_normal_at_zero(self):
