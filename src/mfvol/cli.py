@@ -239,7 +239,7 @@ def cmd_tgarch(s, inputs, output):
     returns = _read_returns(inputs[0])
     fit = tgarch.fit(returns.values, dist=s["dist"])
     _write(output, tgarch.fit_to_json(fit))
-    return {"multistart": tgarch.FitConfig().seed}
+    return {"multistart": tgarch.MULTISTART_SEED}
 
 
 def _mfdfa_config(s):
@@ -303,7 +303,7 @@ def cmd_rolling(s, inputs, output):
     )
     _write(output, rolling.track_to_csv(track))
     if s["estimator"] == "tgarch":
-        return {"multistart": tgarch.FitConfig().seed}
+        return {"multistart": tgarch.MULTISTART_SEED}
 
 
 def cmd_join(s, inputs, output):

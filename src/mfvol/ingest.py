@@ -211,14 +211,13 @@ def returns_to_csv(returns: ReturnSeries) -> str:
 
 
 def returns_to_json(returns: ReturnSeries) -> str:
+    """Metadata sidecar of a returns CSV; the returns themselves are in the CSV."""
     doc = {
         "delta_t_minutes": returns.delta_t_minutes,
         "n_returns": int(len(returns)),
         "removed_outliers": [
             {"timestamp": t, "value": v} for t, v in returns.removed_outliers
         ],
-        "times": [int(t) for t in returns.times],
-        "values": [float(v) for v in returns.values],
     }
     return json.dumps(doc, indent=2)
 

@@ -15,15 +15,12 @@ import math
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-DIST_NORMAL = 0
-DIST_STUDENT_T = 1
-DIST_GED = 2
-
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def tgarch_recursion(r, mu, c1, omega, alpha, beta, gamma, sigma2_init):
-    """Run the AR(1) residual and threshold-GARCH variance recursion.
+def tgarch_recursion(r, params, sigma2_init):
+    """Run the AR(1) residual and threshold-GARCH variance recursion under
+    ``params`` (a ``tgarch.TgarchParams``, read by attribute).
 
     Returns ``(sigma2, eps)``, both of length ``len(r)``.  The first
     residual has no lagged return available, so it is ``r[0] - mu``; the
@@ -32,26 +29,33 @@ def tgarch_recursion(r, mu, c1, omega, alpha, beta, gamma, sigma2_init):
     r = np.ascontiguousarray(r, dtype=np.float64)
     n = r.shape[0]
     eps = np.empty(n)
-    eps[0] = r[0] - mu
-    eps[1:] = r[1:] - mu - c1 * r[:-1]
+    eps[0] = r[0] - params.mu
+    eps[1:] = r[1:] - params.mu - params.c1 * r[:-1]
 
     e = eps[:-1]
     u = np.empty(n)
     u[0] = sigma2_init
-    u[1:] = omega + np.where(e < 0.0, alpha + gamma, alpha) * e * e
+    alpha = params.alpha
+    u[1:] = params.omega + np.where(e < 0.0, alpha + params.gamma, alpha) * e * e
     # Band storage of I - beta * L: row 1 holds the subdiagonal; row 0 (the
     # unit diagonal) is not referenced with diag=1.
-    band = np.full((2, n), -beta, order="F")
+    band = np.full((2, n), -params.beta, order="F")
     sigma2 = dtbsv(1, band, u, lower=1, diag=1, overwrite_x=1)
     return sigma2, eps
+
+
+def _ged_lambda2(kappa):
+    """Squared scale lambda^2 that gives the GED with shape kappa unit variance."""
+    return (math.exp(math.lgamma(1.0 / kappa) - math.lgamma(3.0 / kappa))
+            * 2.0 ** (-2.0 / kappa))
 
 
 def _log_density_constant(dist, shape):
     """(log normalizing constant, scale of z^2 in the kernel) of the
     unit-variance standardized density; None for an invalid shape."""
-    if dist == DIST_NORMAL:
+    if dist == "normal":
         return -_HALF_LN_2PI, 1.0
-    if dist == DIST_STUDENT_T:
+    if dist == "student-t":
         nu = shape
         if not nu > 2.0:
             return None
@@ -61,12 +65,11 @@ def _log_density_constant(dist, shape):
             - 0.5 * math.log(math.pi * (nu - 2.0))
         )
         return log_c, 1.0 / (nu - 2.0)
-    if dist == DIST_GED:
+    if dist == "ged":
         kappa = shape
         if not kappa > 0.0:
             return None
-        lam2 = (math.exp(math.lgamma(1.0 / kappa) - math.lgamma(3.0 / kappa))
-                * 2.0 ** (-2.0 / kappa))
+        lam2 = _ged_lambda2(kappa)
         log_c = (
             math.log(kappa)
             - 0.5 * math.log(lam2)
@@ -74,29 +77,32 @@ def _log_density_constant(dist, shape):
             - math.lgamma(1.0 / kappa)
         )
         return log_c, 1.0 / lam2
-    raise ValueError(f"unknown distribution code {dist}")
+    raise ValueError(f"unknown distribution {dist!r}")
 
 
-def tgarch_nll(r, mu, c1, omega, alpha, beta, gamma, sigma2_init, dist, shape):
+def tgarch_nll(r, params, sigma2_init):
     """Negative log-likelihood, conditional on the first return.
 
-    Evaluated observations are t = 1 .. n-1 (the AR(1) lag consumes one).
-    Returns +inf for an invalid shape or if the variance recursion leaves
-    the positive domain.
+    ``params`` supplies the recursion's parameters, ``dist`` (``"normal"``,
+    ``"student-t"`` or ``"ged"``) and ``shape`` (nu or kappa).  Evaluated
+    observations are t = 1 .. n-1 (the AR(1) lag consumes one).  Returns
+    +inf for an invalid shape or if the variance recursion leaves the
+    positive domain.
     """
+    dist, shape = params.dist, params.shape
     const = _log_density_constant(dist, shape)
     if const is None:
         return math.inf
     log_c, scale = const
-    sigma2, eps = tgarch_recursion(r, mu, c1, omega, alpha, beta, gamma, sigma2_init)
+    sigma2, eps = tgarch_recursion(r, params, sigma2_init)
     s2 = sigma2[1:]
     if s2.size and not (s2.min() > 0.0 and s2.max() < math.inf):
         return math.inf
     # z^2 = eps^2 / sigma2 directly: no square root is needed by any density
     w = np.square(eps[1:]) / s2 * scale
-    if dist == DIST_NORMAL:
+    if dist == "normal":
         kernel = 0.5 * float(w.sum())
-    elif dist == DIST_STUDENT_T:
+    elif dist == "student-t":
         kernel = 0.5 * (shape + 1.0) * float(np.log1p(w).sum())
     else:
         kernel = 0.5 * float(np.sum(w ** (0.5 * shape)))

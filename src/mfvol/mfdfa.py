@@ -112,7 +112,10 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
             f"profile of length {n} too short for 2 segments at s={int(s_grid.max())}"
         )
 
-    zero_tol = float(np.max(np.abs(y))) ** 2 * 1e-26
+    y_max = float(np.max(np.abs(y)))
+    if not y_max < 1e150:
+        raise ValueError(f"profile magnitude {y_max:.3g} exceeds 1e150, so its squares overflow")
+    zero_tol = y_max ** 2 * 1e-26
     values = np.empty((len(q_grid), len(s_grid)))
     excluded = np.zeros((len(q_grid), len(s_grid)), dtype=int)
 

@@ -24,13 +24,14 @@ from scipy.optimize import minimize
 from . import kernels
 from ._validate import finite_array
 
-DIST_CODES = {
-    "normal": kernels.DIST_NORMAL,
-    "student-t": kernels.DIST_STUDENT_T,
-    "ged": kernels.DIST_GED,
-}
-
+# The known innovation laws, with the shape each starts from (nu, kappa).
 DEFAULT_SHAPE = {"normal": None, "student-t": 6.0, "ged": 1.5}
+
+# Fixed fit settings; a manifest pins them through the recorded version.
+MULTISTART_SEED = 20210915
+_MULTISTARTS = 5
+_MIN_OBS = 100
+_SE_REL_STEP = 1e-4
 
 _INVALID_NLL = 1e10
 
@@ -47,7 +48,7 @@ class TgarchParams:
     shape: float | None = None
 
     def __post_init__(self):
-        if self.dist not in DIST_CODES:
+        if self.dist not in DEFAULT_SHAPE:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.shape is None and self.dist != "normal":
             self.shape = DEFAULT_SHAPE[self.dist]
@@ -105,17 +106,6 @@ class TgarchFit:
     fit_seconds: float = 0.0
 
 
-@dataclass
-class FitConfig:
-    multistarts: int = 5
-    seed: int = 20210915
-    min_obs: int = 100
-    maxiter_simplex: int = 1000
-    ftol: float = 1e-8
-    xtol: float = 1e-6
-    se_rel_step: float = 1e-4
-
-
 def _default_sigma2_init(returns):
     return float(np.var(np.asarray(returns, dtype=np.float64), ddof=1))
 
@@ -128,12 +118,9 @@ def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> Volati
         raise ValueError("need at least 2 returns")
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
-    sigma2, eps = kernels.tgarch_recursion(
-        r, params.mu, params.c1, params.omega,
-        params.alpha, params.beta, params.gamma, sigma2_init,
-    )
-    if not np.all(sigma2 > 0):
-        raise ValueError("conditional variance left the positive domain")
+    sigma2, eps = kernels.tgarch_recursion(r, params, sigma2_init)
+    if not (sigma2.min() > 0 and sigma2.max() < math.inf):
+        raise ValueError("conditional variance left the positive finite domain")
     return VolatilityPath(sigma2=sigma2, eps=eps, sigma2_init=float(sigma2_init))
 
 
@@ -143,11 +130,7 @@ def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float
     r = np.asarray(returns, dtype=np.float64)
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
-    nll = kernels.tgarch_nll(
-        r, params.mu, params.c1, params.omega,
-        params.alpha, params.beta, params.gamma, float(sigma2_init),
-        DIST_CODES[params.dist], params.shape if params.shape is not None else 0.0,
-    )
+    nll = kernels.tgarch_nll(r, params, sigma2_init)
     if not math.isfinite(nll):
         raise ValueError("non-finite likelihood (invalid parameters or data)")
     return nll
@@ -156,11 +139,13 @@ def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float
 # --- unconstrained reparameterization used by the optimizer ----------------
 
 def _z_to_params(z, dist):
+    """The parameters at z, with the shape clamped to nu <= 2 + e^50 and
+    kappa <= e^10.  Raises OverflowError if omega, alpha or beta does."""
     shape = None
     if dist == "student-t":
-        shape = 2.0 + math.exp(z[6])
+        shape = 2.0 + math.exp(min(z[6], 50.0))
     elif dist == "ged":
-        shape = math.exp(z[6])
+        shape = math.exp(min(z[6], 10.0))
     return TgarchParams(
         mu=z[0], c1=z[1], omega=math.exp(z[2]),
         alpha=math.exp(z[3]), beta=math.exp(z[4]), gamma=z[5],
@@ -180,29 +165,15 @@ def _params_to_z(p: TgarchParams):
 
 def _objective(z, r, dist, sigma2_init):
     try:
-        alpha = math.exp(z[3])
-        beta = math.exp(z[4])
+        p = _z_to_params(z, dist)
     except OverflowError:
         return _INVALID_NLL
-    gamma = z[5]
-    persistence = alpha + beta + 0.5 * gamma
+    persistence = p.alpha + p.beta + 0.5 * p.gamma
     # Smooth transforms keep omega/alpha/beta positive; the remaining two
     # constraints are enforced by rejection with a gradient-friendly penalty.
-    if persistence >= 0.999999 or alpha + gamma < 0:
-        return _INVALID_NLL * (1.0 + max(persistence - 1.0, 0.0) + max(-(alpha + gamma), 0.0))
-    try:
-        omega = math.exp(z[2])
-    except OverflowError:
-        return _INVALID_NLL
-    shape = 0.0
-    if dist == "student-t":
-        shape = 2.0 + math.exp(min(z[6], 50.0))
-    elif dist == "ged":
-        shape = math.exp(min(z[6], 10.0))
-    nll = kernels.tgarch_nll(
-        r, z[0], z[1], omega, alpha, beta, gamma, sigma2_init,
-        DIST_CODES[dist], shape,
-    )
+    if persistence >= 0.999999 or p.alpha + p.gamma < 0:
+        return _INVALID_NLL * (1.0 + max(persistence - 1.0, 0.0) + max(-(p.alpha + p.gamma), 0.0))
+    nll = kernels.tgarch_nll(r, p, sigma2_init)
     return nll if math.isfinite(nll) else _INVALID_NLL
 
 
@@ -221,27 +192,28 @@ def _moment_start(r, dist):
     )
 
 
-def fit(returns, dist: str = "student-t", config: FitConfig | None = None) -> TgarchFit:
+def fit(returns, dist: str = "student-t") -> TgarchFit:
     """Constrained maximum-likelihood fit.
 
     Seeded multi-start Nelder-Mead in the transformed space, best point
-    polished by BFGS.  Deterministic for fixed inputs, dist, and config.
+    polished by BFGS.  Deterministic for fixed inputs and dist.
     """
-    if dist not in DIST_CODES:
+    if dist not in DEFAULT_SHAPE:
         raise ValueError(f"unknown distribution {dist!r}")
-    cfg = config or FitConfig()
     r = finite_array(returns, "returns")
-    if len(r) < cfg.min_obs:
-        raise ValueError(f"need at least {cfg.min_obs} returns, got {len(r)}")
-    if float(np.var(r)) == 0.0:
-        raise ValueError("degenerate input: zero variance")
+    if len(r) < _MIN_OBS:
+        raise ValueError(f"need at least {_MIN_OBS} returns, got {len(r)}")
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        var = float(np.var(r))
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"degenerate input: variance must be positive and finite, got {var}")
 
     t0 = time.perf_counter()
     sigma2_init = _default_sigma2_init(r)
     z0 = _params_to_z(_moment_start(r, dist))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(MULTISTART_SEED)
     scales = np.array([0.1, 0.1, 0.3, 0.3, 0.2, 0.05] + ([0.3] if dist != "normal" else []))
-    starts = [z0] + [z0 + rng.normal(0.0, scales) for _ in range(cfg.multistarts - 1)]
+    starts = [z0] + [z0 + rng.normal(0.0, scales) for _ in range(_MULTISTARTS - 1)]
 
     best = None
     iterations = 0
@@ -251,9 +223,9 @@ def fit(returns, dist: str = "student-t", config: FitConfig | None = None) -> Tg
             _objective, z_start, args=(r, dist, sigma2_init),
             method="Nelder-Mead",
             options={
-                "maxiter": cfg.maxiter_simplex,
-                "fatol": cfg.ftol * 10.0,
-                "xatol": cfg.xtol,
+                "maxiter": 1000,
+                "fatol": 1e-7,
+                "xatol": 1e-6,
                 "adaptive": True,
             },
         )
@@ -281,7 +253,7 @@ def fit(returns, dist: str = "student-t", config: FitConfig | None = None) -> Tg
     except ValueError:
         converged = False
 
-    se = std_errors(r, params, sigma2_init=sigma2_init, rel_step=cfg.se_rel_step)
+    se = std_errors(r, params, sigma2_init=sigma2_init)
     return TgarchFit(
         params=params,
         std_errors=se.values,
@@ -294,8 +266,7 @@ def fit(returns, dist: str = "student-t", config: FitConfig | None = None) -> Tg
     )
 
 
-def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None,
-               rel_step: float = 1e-4) -> StdErrors:
+def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> StdErrors:
     """Asymptotic standard errors from the numerically differenced Hessian.
 
     Central differences in the original parameter space with a per-parameter
@@ -312,18 +283,14 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None,
     def f(p):
         cand = replace(params, **dict(zip(names, p)))
         try:
-            return kernels.tgarch_nll(
-                r, cand.mu, cand.c1, cand.omega, cand.alpha, cand.beta,
-                cand.gamma, float(sigma2_init), DIST_CODES[cand.dist],
-                cand.shape if cand.shape is not None else 0.0,
-            )
+            return kernels.tgarch_nll(r, cand, sigma2_init)
         except (ValueError, OverflowError):
             return math.inf
 
     k = len(p0)
     # additive floor: a purely relative step underflows into round-off noise
     # for near-zero parameters (second differences of an O(1e4) objective)
-    h = rel_step * (np.abs(p0) + 0.1)
+    h = _SE_REL_STEP * (np.abs(p0) + 0.1)
     hess = np.empty((k, k))
     f0 = f(p0)
     for i in range(k):
@@ -365,10 +332,7 @@ def simulate(params: TgarchParams, n: int, seed: int, burn_in: int = 1000) -> np
         eta = rng.standard_t(nu, total) * math.sqrt((nu - 2.0) / nu)
     else:
         kappa = params.shape
-        lam = math.sqrt(
-            math.exp(math.lgamma(1.0 / kappa) - math.lgamma(3.0 / kappa))
-            * 2.0 ** (-2.0 / kappa)
-        )
+        lam = math.sqrt(kernels._ged_lambda2(kappa))
         w = rng.gamma(1.0 / kappa, 1.0, total)
         signs = np.where(rng.random(total) < 0.5, -1.0, 1.0)
         eta = signs * lam * (2.0 * w) ** (1.0 / kappa)

@@ -190,6 +190,8 @@ class TestSerialization:
         r = ingest.ReturnSeries(1440, np.array([86400], dtype=np.int64),
                                 np.array([1.5]), removed_outliers=[(3, 44.0)])
         doc = json.loads(ingest.returns_to_json(r))
+        # metadata only: the returns themselves are in the CSV
+        assert set(doc) == {"delta_t_minutes", "n_returns", "removed_outliers"}
         assert doc["delta_t_minutes"] == 1440
         assert doc["n_returns"] == 1
         assert doc["removed_outliers"] == [{"timestamp": 3, "value": 44.0}]

@@ -9,6 +9,7 @@ import pytest
 
 from mfvol import kernels
 from mfvol.mfdfa import _segment_basis
+from mfvol.tgarch import TgarchParams
 
 
 def loop_recursion(r, mu, c1, omega, alpha, beta, gamma, sigma2_init):
@@ -27,9 +28,9 @@ def loop_nll(r, mu, c1, omega, alpha, beta, gamma, sigma2_init, dist, shape):
     total = 0.0
     for t in range(1, len(r)):
         z = eps[t] / math.sqrt(sigma2[t])
-        if dist == kernels.DIST_NORMAL:
+        if dist == "normal":
             term = 0.5 * math.log(2.0 * math.pi) + 0.5 * z * z
-        elif dist == kernels.DIST_STUDENT_T:
+        elif dist == "student-t":
             nu = shape
             log_c = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
                      - 0.5 * math.log(math.pi * (nu - 2.0)))
@@ -53,33 +54,35 @@ def returns():
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.97])
 @pytest.mark.parametrize("gamma", [-0.04, 0.02])
 def test_recursion_matches_loop(returns, beta, gamma):
-    args = (0.05, -0.1, 0.3 * (1.0 - beta), 0.04, beta, gamma, 1.7)
-    s_vec, e_vec = kernels.tgarch_recursion(returns, *args)
-    s_ref, e_ref = loop_recursion(returns, *args)
+    omega = 0.3 * (1.0 - beta)
+    p = TgarchParams(mu=0.05, c1=-0.1, omega=omega, alpha=0.04, beta=beta, gamma=gamma)
+    s_vec, e_vec = kernels.tgarch_recursion(returns, p, 1.7)
+    s_ref, e_ref = loop_recursion(returns, 0.05, -0.1, omega, 0.04, beta, gamma, 1.7)
     assert np.array_equal(e_vec, e_ref)
     assert np.max(np.abs(s_vec - s_ref) / s_ref) <= 1e-14
 
 
 @pytest.mark.parametrize("dist,shape", [
-    (kernels.DIST_NORMAL, 0.0),
-    (kernels.DIST_STUDENT_T, 5.0),
-    (kernels.DIST_GED, 1.4),
+    ("normal", None),
+    ("student-t", 5.0),
+    ("ged", 1.4),
 ])
 def test_nll_matches_loop(returns, dist, shape):
-    args = (0.05, -0.1, 0.3, 0.08, 0.85, -0.04, 1.7, dist, shape)
-    assert kernels.tgarch_nll(returns, *args) == pytest.approx(
-        loop_nll(returns, *args), rel=1e-12)
+    p = TgarchParams(mu=0.05, c1=-0.1, omega=0.3, alpha=0.08, beta=0.85, gamma=-0.04,
+                     dist=dist, shape=shape)
+    assert kernels.tgarch_nll(returns, p, 1.7) == pytest.approx(
+        loop_nll(returns, 0.05, -0.1, 0.3, 0.08, 0.85, -0.04, 1.7, dist, shape), rel=1e-12)
 
 
 @pytest.mark.parametrize("omega,dist,shape", [
-    (-1.0, kernels.DIST_NORMAL, 0.0),
-    (-1.0, kernels.DIST_STUDENT_T, 5.0),
-    (0.2, kernels.DIST_STUDENT_T, 2.0),
-    (0.2, kernels.DIST_GED, 0.0),
+    (-1.0, "normal", None),
+    (-1.0, "student-t", 5.0),
+    (0.2, "student-t", 2.0),
+    (0.2, "ged", 0.0),
 ])
 def test_nll_invalid_params_inf(returns, omega, dist, shape):
-    assert kernels.tgarch_nll(returns, 0.0, 0.0, omega, 0.1, 0.8, 0.0, 0.0,
-                              dist, shape) == math.inf
+    p = TgarchParams(omega=omega, alpha=0.1, beta=0.8, dist=dist, shape=shape)
+    assert kernels.tgarch_nll(returns, p, 0.0) == math.inf
 
 
 def test_segment_variances_match_polyfit(returns):

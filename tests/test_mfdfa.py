@@ -32,6 +32,9 @@ class TestProfile:
             mfdfa.profile(r)
         with pytest.raises(ValueError, match="non-finite"):
             mfdfa.analyze(r)
+        # finite, but the profile's squares overflow
+        with pytest.raises(ValueError, match="exceeds 1e150"):
+            mfdfa.analyze(1e160 * np.random.default_rng(0).standard_normal(600))
 
 
 class TestFluctuation:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mfvol import tgarch
+from mfvol import kernels, tgarch
 
 
 def normal_params(**kw):
@@ -55,11 +58,16 @@ class TestFilterVolatility:
         with pytest.raises(ValueError):
             tgarch.filter_volatility(normal_params(alpha=0.5, beta=0.7), [1.0, 2.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input(self, bad):
+    @pytest.mark.parametrize("bad,match", [
+        pytest.param(np.nan, "non-finite .* index 123", id="nan"),
+        pytest.param(np.inf, "non-finite .* index 123", id="inf"),
+        # finite, but the default presample variance overflows to inf
+        pytest.param(1e200, "positive finite domain", id="overflow"),
+    ])
+    def test_non_finite_input(self, bad, match):
         r = np.random.default_rng(0).standard_normal(300)
         r[123] = bad
-        with pytest.raises(ValueError, match="non-finite .* index 123"):
+        with pytest.raises(ValueError, match=match):
             tgarch.filter_volatility(normal_params(alpha=0.1, beta=0.8), r)
 
 
@@ -160,8 +168,10 @@ class TestFit:
         assert f1.loglik == f2.loglik
 
     def test_degenerate_input(self):
-        with pytest.raises(ValueError):
-            tgarch.fit(np.ones(500), "normal")
+        # zero variance, and finite returns whose variance overflows
+        for r in (np.ones(500), 1e200 * np.random.default_rng(0).standard_normal(300)):
+            with pytest.raises(ValueError, match="variance"):
+                tgarch.fit(r, "normal")
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -173,6 +183,46 @@ class TestFit:
         r[123] = bad
         with pytest.raises(ValueError, match="non-finite .* index 123"):
             tgarch.fit(r, "normal")
+
+    @pytest.mark.parametrize("dist,r", [
+        ("normal", np.random.default_rng(5).standard_normal(400)),
+        ("student-t", np.random.default_rng(6).standard_t(5, 400)),
+        # the GED shape runs to its clamp here (kappa = e^10)
+        ("ged", np.random.default_rng(2).uniform(-1, 1, 600)),
+    ])
+    def test_reports_the_scored_parameters(self, dist, r):
+        fit = tgarch.fit(r, dist)
+        assert fit.loglik == pytest.approx(-tgarch.neg_log_likelihood(fit.params, r),
+                                           rel=1e-12)
+
+    @given(arrays(np.float64, st.integers(100, 120),
+                  elements=st.floats(-1e300, 1e300, allow_nan=False)))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_raises_or_returns_finite_fit(self, x):
+        try:
+            fit = tgarch.fit(x, "normal")
+        except ValueError:
+            return
+        p = fit.params
+        assert all(math.isfinite(v) for v in (p.mu, p.c1, p.omega, p.alpha, p.beta, p.gamma))
+        assert math.isfinite(fit.loglik) and fit.loglik > -1e10
+
+    def test_likelihood_called_through_kernels_attribute(self, monkeypatch):
+        # the benchmark's tracer counts likelihood calls through this attribute
+        calls = []
+        real = kernels.tgarch_nll
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "tgarch_nll", counting)
+        r = np.random.default_rng(3).standard_normal(200)
+        fit = tgarch.fit(r, "normal")
+        after_fit = len(calls)
+        tgarch.std_errors(r, fit.params)
+        assert after_fit > 0
+        assert len(calls) > after_fit
 
 
 class TestStdErrors:
