@@ -1,5 +1,5 @@
-"""Hot numerical kernels: the TGARCH recursion and likelihood, and MF-DFA
-segment variances, as plain NumPy/SciPy array code.
+"""Hot numerical kernels of the TGARCH fit: the variance recursion and the
+likelihood, as plain NumPy/SciPy array code.
 
 The variance recursion sigma2_t = beta * sigma2_{t-1} + u_t is linear in
 sigma2, and its input u_t = omega + (alpha + gamma * 1[eps_{t-1} < 0])
@@ -109,23 +109,3 @@ def tgarch_nll(r, params, sigma2_init):
     nll = kernel + 0.5 * float(np.log(s2).sum()) - s2.size * log_c
     return nll if math.isfinite(nll) else math.inf
 
-
-def segment_variances(profile, s, basis):
-    """Detrended variance of every length-s segment, forward then backward.
-
-    ``basis`` is an (s, k) matrix with orthonormal columns spanning the
-    detrending polynomials on the segment abscissa.  Returns 2*floor(N/s)
-    residual variances (mean squared residual per segment).
-    """
-    y = np.ascontiguousarray(profile, dtype=np.float64)
-    n = y.shape[0]
-    ns = n // s
-    fwd = y[: ns * s].reshape(ns, s)
-    bwd = y[n - ns * s :].reshape(ns, s)
-    segs = np.concatenate([fwd, bwd], axis=0)
-    coeffs = segs @ basis
-    # Residuals computed explicitly (not via the Pythagorean identity) so
-    # that exactly-fitted segments come out at round-off level, not at the
-    # much larger cancellation error of total - fitted.
-    resid = segs - coeffs @ basis.T
-    return np.einsum("ij,ij->i", resid, resid) / s

@@ -10,17 +10,18 @@ Segments are taken forward from the start and backward from the end
 moments exclude zero-variance segments (counts are recorded).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from . import kernels
-from ._linfit import fit_line
 from ._validate import finite_array
 
 _LOG_FLOOR = 1e-30
+# Bound on the elements of one (q, segment) block of exponents (2 MiB): at
+# s = 16 on 2e5 returns the whole outer product is 24 MiB per sign of q.
+_BLOCK_ELEMS = 1 << 18
 
 
 def default_q_grid():
@@ -91,13 +92,56 @@ def profile(returns) -> np.ndarray:
     return np.cumsum(r - r.mean())
 
 
+@functools.lru_cache
 def _segment_basis(s: int, order: int) -> np.ndarray:
     # Abscissa 1..s rescaled to [-1, 1]; orthonormal columns via QR so the
-    # cubic fit stays well conditioned at s ~ 100.
+    # cubic fit stays well conditioned at s ~ 100.  Cached, so read-only.
     x = (2.0 * np.arange(1, s + 1) - (s + 1)) / (s - 1)
     v = np.vander(x, order + 1, increasing=True)
     q, _ = np.linalg.qr(v)
-    return np.ascontiguousarray(q)
+    q = np.ascontiguousarray(q)
+    q.setflags(write=False)
+    return q
+
+
+def _segment_variances(profile, s, basis):
+    """Detrended variance of every length-s segment, forward then backward.
+
+    ``basis`` is an (s, k) matrix with orthonormal columns spanning the
+    detrending polynomials on the segment abscissa.  Returns 2*floor(N/s)
+    residual variances (mean squared residual per segment).
+    """
+    y = np.ascontiguousarray(profile, dtype=np.float64)
+    n = y.shape[0]
+    ns = n // s
+    fwd = y[: ns * s].reshape(ns, s)
+    bwd = y[n - ns * s :].reshape(ns, s)
+    segs = np.concatenate([fwd, bwd], axis=0)
+    coeffs = segs @ basis
+    # Residuals computed explicitly (not via the Pythagorean identity) so
+    # that exactly-fitted segments come out at round-off level, not at the
+    # much larger cancellation error of total - fitted.
+    resid = segs - coeffs @ basis.T
+    return np.einsum("ij,ij->i", resid, resid) / s
+
+
+def _log_mean_moments(half_q, log_f2, log_f2_top):
+    """ln mean_j exp(half_q[i] * log_f2[j]) for every row i.
+
+    ``log_f2_top`` is the element of ``log_f2`` that maximises every
+    exponent (its max for positive q, its min for negative q), so the shift
+    half_q * log_f2_top leaves no exponent positive.  The (q, segment)
+    exponents are built in blocks of rows of at most _BLOCK_ELEMS elements.
+    """
+    shift = half_q * log_f2_top
+    log_sum = np.empty(len(half_q))
+    rows = max(1, _BLOCK_ELEMS // len(log_f2))
+    for lo in range(0, len(half_q), rows):
+        block = np.multiply.outer(half_q[lo:lo + rows], log_f2)
+        block -= shift[lo:lo + rows, None]
+        np.exp(block, out=block)
+        log_sum[lo:lo + rows] = np.log(block.sum(axis=1))
+    return log_sum + shift - math.log(len(log_f2))
 
 
 def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
@@ -118,10 +162,12 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
     zero_tol = y_max ** 2 * 1e-26
     values = np.empty((len(q_grid), len(s_grid)))
     excluded = np.zeros((len(q_grid), len(s_grid)), dtype=int)
+    pos, neg, zero = q_grid > 0, q_grid < 0, q_grid == 0
+    half_pos, half_neg = 0.5 * q_grid[pos], 0.5 * q_grid[neg]
 
     for js, s in enumerate(s_grid):
         basis = _segment_basis(int(s), config.detrend_order)
-        fv = kernels.segment_variances(y, int(s), basis)
+        fv = _segment_variances(y, int(s), basis)
         nonzero = fv > zero_tol
         n_excl = int(np.sum(~nonzero))
         log_all = np.log(np.maximum(fv, _LOG_FLOOR))
@@ -129,18 +175,14 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
         if len(log_kept) == 0:
             raise ValueError(f"all segments have zero variance at s={int(s)}")
 
-        for jq, q in enumerate(q_grid):
-            if q > 0:
-                # positive moments tolerate zero variances (floored in logs)
-                lf = (logsumexp(0.5 * q * log_all) - math.log(len(log_all))) / q
-                values[jq, js] = math.exp(lf)
-            elif q < 0:
-                lf = (logsumexp(0.5 * q * log_kept) - math.log(len(log_kept))) / q
-                values[jq, js] = math.exp(lf)
-                excluded[jq, js] = n_excl
-            else:
-                values[jq, js] = math.exp(0.5 * float(np.mean(log_kept)))
-                excluded[jq, js] = n_excl
+        # positive moments tolerate zero variances (floored in logs);
+        # negative ones and the q = 0 log-average use the kept segments only
+        values[pos, js] = np.exp(
+            _log_mean_moments(half_pos, log_all, log_all.max()) / q_grid[pos])
+        values[neg, js] = np.exp(
+            _log_mean_moments(half_neg, log_kept, log_kept.min()) / q_grid[neg])
+        values[zero, js] = math.exp(0.5 * float(np.mean(log_kept)))
+        excluded[~pos, js] = n_excl
 
     return FluctuationMatrix(q_grid=q_grid, s_grid=s_grid, values=values, excluded=excluded)
 
@@ -152,14 +194,23 @@ def generalized_hurst(fmat: FluctuationMatrix, fit_range=None) -> HurstCurve:
     mask = (fmat.s_grid >= fit_range[0]) & (fmat.s_grid <= fit_range[1])
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 scales inside fit_range")
-    ls = np.log(fmat.s_grid[mask].astype(np.float64))
-    h = np.empty(len(fmat.q_grid))
-    se = np.empty(len(fmat.q_grid))
-    r2 = np.empty(len(fmat.q_grid))
-    for jq in range(len(fmat.q_grid)):
-        lf = np.log(fmat.values[jq, mask])
-        slope, _, s_se, s_r2 = fit_line(ls, lf)
-        h[jq], se[jq], r2[jq] = slope, s_se, s_r2
+    # one centred least-squares fit per row of ln F, as in _linfit.fit_line
+    x = np.log(fmat.s_grid[mask].astype(np.float64))
+    y = np.log(fmat.values[:, mask])
+    xm = x - x.mean()
+    sxx = float(xm @ xm)
+    if sxx == 0.0:
+        raise ValueError("degenerate abscissa: all scales in fit_range equal")
+    y_mean = y.mean(axis=1)
+    y_dev = y - y_mean[:, None]
+    h = (y_dev @ xm) / sxx
+    intercept = y_mean - h * x.mean()
+    resid = y - (intercept[:, None] + h[:, None] * x)
+    ss_res = np.einsum("ij,ij->i", resid, resid)
+    ss_tot = np.einsum("ij,ij->i", y_dev, y_dev)
+    se = np.sqrt(ss_res / (len(x) - 2) / sxx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
     return HurstCurve(q_grid=fmat.q_grid, h=h, slope_se=se, r_squared=r2,
                       fit_range=tuple(fit_range))
 

@@ -115,7 +115,9 @@ def descriptive(values) -> DescriptiveStats:
     n = len(x)
     if n < 4:
         raise ValueError("descriptive statistics need at least 4 observations")
-    m2, m3, m4 = _central_moments(x)
+    # an overflow shows as a non-finite moment, rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2, m3, m4 = _central_moments(x)
     if m2 == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
 

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,29 @@ class TestErrorHandling:
         assert report["error"] == "ValueError"
         assert "line 152" in report["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"],
+        ["tgarch"],
+        ["mfdfa"],
+        ["rolling", "--estimator", "mfdfa"],
+    ])
+    def test_overflowing_returns_one_json_error(self, tmp_path, argv):
+        # finite returns whose powers overflow: a NumPy warning printed before
+        # the error report would leave stderr no longer one JSON document
+        series = tmp_path / "r.csv"
+        values = 1e200 * np.random.default_rng(0).standard_normal(300)
+        series.write_text("timestamp,value\n" + "".join(
+            f"{60 * i},{float(v)!r}\n" for i, v in enumerate(values)))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "mfvol.cli", *argv,
+             "--input", str(series), "-o", str(tmp_path / "out.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        report = json.loads(proc.stderr)
+        assert report["error"] == "ValueError"
+        assert report["subcommand"] == argv[0]
 
     @pytest.mark.parametrize("argv", [
         ["ingest"],

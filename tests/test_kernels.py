@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mfvol import kernels
-from mfvol.mfdfa import _segment_basis
 from mfvol.tgarch import TgarchParams
 
 
@@ -83,18 +82,6 @@ def test_nll_matches_loop(returns, dist, shape):
 def test_nll_invalid_params_inf(returns, omega, dist, shape):
     p = TgarchParams(omega=omega, alpha=0.1, beta=0.8, dist=dist, shape=shape)
     assert kernels.tgarch_nll(returns, p, 0.0) == math.inf
-
-
-def test_segment_variances_match_polyfit(returns):
-    y = np.cumsum(returns)
-    for s in (16, 50, 128):
-        got = kernels.segment_variances(y, s, _segment_basis(s, 3))
-        ns = len(y) // s
-        starts = [v * s for v in range(ns)] + [len(y) - (ns - v) * s for v in range(ns)]
-        x = np.arange(s, dtype=np.float64)
-        want = [np.mean((y[a:a + s] - np.polyval(np.polyfit(x, y[a:a + s], 3), x)) ** 2)
-                for a in starts]
-        assert np.allclose(got, want, rtol=1e-8, atol=1e-12)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

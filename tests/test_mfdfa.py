@@ -1,7 +1,12 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfvol import mfdfa, synth
+from mfvol._linfit import fit_line
 
 
 def small_config(**kw):
@@ -39,12 +44,27 @@ class TestProfile:
 
 class TestFluctuation:
     def test_segment_count_law(self):
-        from mfvol import kernels
         y = np.random.default_rng(1).standard_normal(1000)
         for s in (16, 33, 100):
             basis = mfdfa._segment_basis(s, 3)
-            fv = kernels.segment_variances(y, s, basis)
+            fv = mfdfa._segment_variances(y, s, basis)
             assert len(fv) == 2 * (1000 // s)
+
+    def test_segment_variances_match_polyfit(self):
+        y = np.cumsum(np.random.default_rng(42).standard_normal(2000) * 2.0)
+        for s in (16, 50, 128):
+            got = mfdfa._segment_variances(y, s, mfdfa._segment_basis(s, 3))
+            ns = len(y) // s
+            starts = [v * s for v in range(ns)] + [len(y) - (ns - v) * s for v in range(ns)]
+            x = np.arange(s, dtype=np.float64)
+            want = [np.mean((y[a:a + s] - np.polyval(np.polyfit(x, y[a:a + s], 3), x)) ** 2)
+                    for a in starts]
+            assert np.allclose(got, want, rtol=1e-8, atol=1e-12)
+
+    def test_segment_basis_cached_read_only(self):
+        basis = mfdfa._segment_basis(50, 3)
+        assert mfdfa._segment_basis(50, 3) is basis
+        assert not basis.flags.writeable
 
     def test_pure_cubic_profile_is_error(self):
         i = np.arange(2000, dtype=np.float64)
@@ -189,3 +209,112 @@ def test_csv_exports():
     assert mfdfa.fluct_to_csv(res["fluctuation"]).splitlines()[0] == "q,s,F"
     assert mfdfa.hurst_to_csv(res["hurst"]).splitlines()[0] == "q,h,se"
     assert mfdfa.spectrum_to_csv(res["spectrum"]).splitlines()[0] == "q,alpha,f"
+
+
+# --- the array q-moments against a scalar reference -----------------------------
+
+def reference_fluctuation(prof, cfg):
+    """F_q(s) by a loop over (q, s): max-shifted exponentials summed exactly
+    with math.fsum, on the same segment variances and exclusion rule."""
+    y = np.asarray(prof, dtype=np.float64)
+    zero_tol = float(np.max(np.abs(y))) ** 2 * 1e-26
+    values = np.empty((len(cfg.q_grid), len(cfg.s_grid)))
+    excluded = np.zeros(values.shape, dtype=int)
+    for js, s in enumerate(cfg.s_grid):
+        s = int(s)
+        fv = mfdfa._segment_variances(y, s, mfdfa._segment_basis(s, cfg.detrend_order))
+        every = [math.log(max(v, 1e-30)) for v in fv]
+        kept = [math.log(v) for v in fv if v > zero_tol]
+        for jq, q in enumerate(cfg.q_grid):
+            q = float(q)
+            if q == 0.0:
+                values[jq, js] = math.exp(0.5 * math.fsum(kept) / len(kept))
+            else:
+                logs = every if q > 0 else kept
+                top = max(0.5 * q * v for v in logs)
+                total = math.fsum(math.exp(0.5 * q * v - top) for v in logs)
+                values[jq, js] = math.exp(
+                    (math.log(total) + top - math.log(len(logs))) / q)
+            if q <= 0.0:
+                excluded[jq, js] = len(fv) - len(kept)
+    return values, excluded
+
+
+def assert_rel(got, want, tol):
+    """|got - want| <= tol * |want| elementwise (so got == want where want == 0)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert np.all(np.abs(got - want) <= tol * np.abs(want)), np.max(
+        np.abs(got - want) / np.maximum(np.abs(want), 1e-300))
+
+
+def gaussian_window_profile():
+    return mfdfa.profile(np.random.default_rng(548).standard_normal(548))
+
+
+def zero_variance_profile():
+    # a flat stretch: every segment inside it has exactly zero variance
+    y = np.cumsum(np.random.default_rng(9).standard_normal(1200))
+    y[300:900] = 0.0
+    return y
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (gaussian_window_profile(), mfdfa.MfdfaConfig()),
+    lambda: (zero_variance_profile(), mfdfa.MfdfaConfig()),
+    lambda: (mfdfa.profile(synth.binomial_cascade(synth.CascadeSpec(levels=14, a=0.75))),
+             cascade_config()),
+], ids=["gaussian548", "zero_variance", "cascade"])
+def test_fluctuation_matches_scalar_reference(make):
+    prof, cfg = make()
+    fmat = mfdfa.fluctuation(prof, cfg)
+    want, want_excluded = reference_fluctuation(prof, cfg)
+    assert_rel(fmat.values, want, 1e-13)
+    assert np.array_equal(fmat.excluded, want_excluded)
+
+
+def test_zero_variance_segments_dropped_for_q_at_most_zero():
+    fmat = mfdfa.fluctuation(zero_variance_profile(), mfdfa.MfdfaConfig())
+    assert np.all(fmat.excluded[fmat.q_grid > 0] == 0)
+    assert np.all(fmat.excluded[fmat.q_grid <= 0] > 0)
+
+
+def test_generalized_hurst_matches_fit_line():
+    fmat = mfdfa.fluctuation(gaussian_window_profile(), mfdfa.MfdfaConfig())
+    fmat.values[7] = 1.0  # ln F == 0 at every scale: ss_tot is exactly 0
+    fit_range = (20, 100)
+    curve = mfdfa.generalized_hurst(fmat, fit_range)
+    mask = (fmat.s_grid >= fit_range[0]) & (fmat.s_grid <= fit_range[1])
+    x = np.log(fmat.s_grid[mask].astype(np.float64))
+    fits = [fit_line(x, np.log(row[mask])) for row in fmat.values]
+    assert_rel(curve.h, [f[0] for f in fits], 1e-13)
+    assert_rel(curve.slope_se, [f[2] for f in fits], 1e-13)
+    assert_rel(curve.r_squared, [f[3] for f in fits], 1e-13)
+    assert curve.r_squared[7] == 1.0 and curve.h[7] == 0.0
+
+
+def _imports(module_name, seen):
+    """Absolute names of the modules ``module_name`` imports, following its
+    relative imports into other modules of its package."""
+    package = module_name.rpartition(".")[0]
+    path = Path(mfdfa.__file__).parent / (module_name.rpartition(".")[2] + ".py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            base = f"{package}.{node.module}" if node.module else package
+            targets = [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+            for target in targets:
+                names.add(target)
+                if target not in seen:
+                    seen.add(target)
+                    names |= _imports(target, seen)
+    return names
+
+
+def test_mfdfa_imports_no_scipy():
+    names = _imports("mfvol.mfdfa", {"mfvol.mfdfa"})
+    assert "mfvol._validate" in names
+    assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
