@@ -83,10 +83,10 @@ SETTINGS = (
             help="also write the volatility series to this CSV"),
     Setting("delta_ts", _int_list, None, ("agg-gauss",), required=True,
             help="comma-separated minutes; " + _REQUIRED),
-    # agg-gauss fits over sampling periods in minutes, the MF-DFA users over
-    # scales in bars: two settings that share a name
-    Setting("fit_min", int, None, ("agg-gauss",), help="default: the shortest period kept"),
-    Setting("fit_max", int, None, ("agg-gauss",), help="default: the longest period kept"),
+    Setting("period_min", int, None, ("agg-gauss",),
+            help="minutes; default: the shortest period kept"),
+    Setting("period_max", int, None, ("agg-gauss",),
+            help="minutes; default: the longest period kept"),
     Setting("min_nobs", int, 200, ("agg-gauss",)),
     Setting("fit_min", int, _MFDFA.fit_range[0], _MFDFA_USERS),
     Setting("fit_max", int, _MFDFA.fit_range[1], _MFDFA_USERS),
@@ -220,8 +220,8 @@ def cmd_stats(s, inputs, output):
 
 def cmd_agg_gauss(s, inputs, output):
     fit_range = None
-    if s["fit_min"] is not None and s["fit_max"] is not None:
-        fit_range = (s["fit_min"], s["fit_max"])
+    if s["period_min"] is not None and s["period_max"] is not None:
+        fit_range = (s["period_min"], s["period_max"])
     sidecar = _json_sidecar(output)
     with open(_resolve_input(inputs[0])) as fh:
         ticks = ingest.parse_ticks(fh)

@@ -128,7 +128,7 @@ def track_to_csv(track: RollingTrack) -> str:
         for key in row.get("payload", {}):
             if key not in keys:
                 keys.append(key)
-    out = ["window_start,window_end," + ",".join(keys) + ",status"]
+    out = [",".join(["window_start", "window_end", *keys, "status"])]
     for row in track.rows:
         payload = row.get("payload", {})
         cells = [str(row["window_start"]), str(row["window_end"])]

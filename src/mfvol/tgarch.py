@@ -15,11 +15,10 @@ seeded with the sample variance of the fitted window.
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import LinearConstraint, minimize
 
 from . import kernels
 from ._validate import finite_array
@@ -29,11 +28,18 @@ DEFAULT_SHAPE = {"normal": None, "student-t": 6.0, "ged": 1.5}
 
 # Fixed fit settings; a manifest pins them through the recorded version.
 MULTISTART_SEED = 20210915
-_MULTISTARTS = 5
+_MULTISTARTS = 3
 _MIN_OBS = 100
 _SE_REL_STEP = 1e-4
-
-_INVALID_NLL = 1e10
+_FTOL = 1e-10
+_MAXITER = 500
+_MAX_PERSISTENCE = 1.0 - 1e-6
+_OMEGA_FLOOR = 1e-8  # in units of the sample variance
+# Shape ranges inside which the likelihood stays finite: kappa well below 0.1
+# underflows the GED scale, and a large kappa overflows |z|^kappa.
+_SHAPE_BOUNDS = {"student-t": (2.001, 500.0), "ged": (0.1, 50.0)}
+# spread of the random starts around the moment start, in the solver's units
+_START_SPREAD = np.array([0.1, 0.1, 0.03, 0.03, 0.05, 0.03, 1.0])
 
 
 @dataclass
@@ -103,11 +109,17 @@ class TgarchFit:
     iterations: int
     hessian_ok: bool
     nobs: int
-    fit_seconds: float = 0.0
 
 
 def _default_sigma2_init(returns):
-    return float(np.var(np.asarray(returns, dtype=np.float64), ddof=1))
+    """The presample variance of the recursion: the sample variance of the
+    returns.  Raises ValueError unless it is positive and finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        var = float(np.var(np.asarray(returns, dtype=np.float64), ddof=1))
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"degenerate input: the sample variance {var} is outside "
+                         "the positive finite domain")
+    return var
 
 
 def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> VolatilityPath:
@@ -136,133 +148,89 @@ def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float
     return nll
 
 
-# --- unconstrained reparameterization used by the optimizer ----------------
+# --- the constrained fit ---------------------------------------------------
 
-def _z_to_params(z, dist):
-    """The parameters at z, with the shape clamped to nu <= 2 + e^50 and
-    kappa <= e^10.  Raises OverflowError if omega, alpha or beta does."""
-    shape = None
-    if dist == "student-t":
-        shape = 2.0 + math.exp(min(z[6], 50.0))
-    elif dist == "ged":
-        shape = math.exp(min(z[6], 10.0))
-    return TgarchParams(
-        mu=z[0], c1=z[1], omega=math.exp(z[2]),
-        alpha=math.exp(z[3]), beta=math.exp(z[4]), gamma=z[5],
-        dist=dist, shape=shape,
-    )
+def _params_at(x, units, dist):
+    """The parameters at the solver's point x, whose coordinates are the free
+    parameters divided by ``units``."""
+    v = [float(a) for a in x[:6] * units[:6]]
+    return TgarchParams(*v, dist=dist, shape=float(x[6]) if dist != "normal" else None)
 
 
-def _params_to_z(p: TgarchParams):
-    z = [p.mu, p.c1, math.log(p.omega), math.log(max(p.alpha, 1e-8)),
-         math.log(max(p.beta, 1e-8)), p.gamma]
-    if p.dist == "student-t":
-        z.append(math.log(p.shape - 2.0))
-    elif p.dist == "ged":
-        z.append(math.log(p.shape))
-    return np.asarray(z, dtype=np.float64)
+def _objective(x, r, dist, sigma2_init, units):
+    # +inf at a trial point whose variance overflows (one off the stationarity
+    # constraint, say); SLSQP's line search steps back from it
+    return kernels.tgarch_nll(r, _params_at(x, units, dist), sigma2_init)
 
 
-def _objective(z, r, dist, sigma2_init):
-    try:
-        p = _z_to_params(z, dist)
-    except OverflowError:
-        return _INVALID_NLL
-    persistence = p.alpha + p.beta + 0.5 * p.gamma
-    # Smooth transforms keep omega/alpha/beta positive; the remaining two
-    # constraints are enforced by rejection with a gradient-friendly penalty.
-    if persistence >= 0.999999 or p.alpha + p.gamma < 0:
-        return _INVALID_NLL * (1.0 + max(persistence - 1.0, 0.0) + max(-(p.alpha + p.gamma), 0.0))
-    nll = kernels.tgarch_nll(r, p, sigma2_init)
-    return nll if math.isfinite(nll) else _INVALID_NLL
-
-
-def _moment_start(r, dist):
-    v = float(np.var(r, ddof=1))
+def _moment_start(r, dist, var):
+    """The first start, in the solver's units: the sample mean and lag-1
+    autocorrelation, alpha = 0.1, beta = 0.8, gamma = 0, omega matching the
+    sample variance ``var``, and the law's default shape."""
     mu0 = float(np.mean(r))
     rc = r - mu0
     denom = float(rc[:-1] @ rc[:-1])
     c10 = float(rc[1:] @ rc[:-1]) / denom if denom > 0 else 0.0
-    c10 = float(np.clip(c10, -0.9, 0.9))
-    alpha0, beta0 = 0.1, 0.8
-    omega0 = max(v * (1.0 - alpha0 - beta0), 1e-6)
-    return TgarchParams(
-        mu=mu0, c1=c10, omega=omega0, alpha=alpha0, beta=beta0, gamma=0.0,
-        dist=dist, shape=DEFAULT_SHAPE[dist],
-    )
+    x0 = [mu0 / math.sqrt(var), float(np.clip(c10, -0.9, 0.9)), 0.1, 0.1, 0.8, 0.0]
+    if dist != "normal":
+        x0.append(DEFAULT_SHAPE[dist])
+    return np.array(x0)
 
 
 def fit(returns, dist: str = "student-t") -> TgarchFit:
     """Constrained maximum-likelihood fit.
 
-    Seeded multi-start Nelder-Mead in the transformed space, best point
-    polished by BFGS.  Deterministic for fixed inputs and dist.
+    Seeded multistart SLSQP over (mu, c1, omega, alpha, beta, gamma[, shape])
+    with omega >= a positive floor, alpha, beta >= 0 and the shape in its law's
+    range as bounds, and alpha + gamma >= 0 and alpha + beta + gamma/2 <=
+    1 - 1e-6 as linear constraints.  mu and omega are measured in units of the
+    sample standard deviation and variance, so the solver's steps do not
+    depend on the scale of the returns.  The best start is projected onto the
+    feasible set and scored again; ``converged`` is that start's SLSQP exit,
+    so an optimum on a constraint is a converged fit.  Deterministic for
+    fixed inputs and dist.
     """
     if dist not in DEFAULT_SHAPE:
         raise ValueError(f"unknown distribution {dist!r}")
     r = finite_array(returns, "returns")
     if len(r) < _MIN_OBS:
         raise ValueError(f"need at least {_MIN_OBS} returns, got {len(r)}")
-    with np.errstate(over="ignore"):  # an overflow is rejected just below
-        var = float(np.var(r))
-    if not 0.0 < var < math.inf:
-        raise ValueError(f"degenerate input: variance must be positive and finite, got {var}")
-
-    t0 = time.perf_counter()
     sigma2_init = _default_sigma2_init(r)
-    z0 = _params_to_z(_moment_start(r, dist))
+
+    x0 = _moment_start(r, dist, sigma2_init)
+    k = len(x0)
+    units = np.array([math.sqrt(sigma2_init), 1.0, sigma2_init, 1.0, 1.0, 1.0, 1.0][:k])
+    bounds = [(None, None), (None, None), (_OMEGA_FLOOR, None), (0.0, None), (0.0, None),
+              (None, None), _SHAPE_BOUNDS.get(dist)][:k]
+    # rows: alpha + gamma, and the persistence alpha + beta + gamma/2
+    rows = np.array([[0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0.5, 0]], dtype=np.float64)[:, :k]
+    constraints = LinearConstraint(rows, [0.0, -np.inf], [np.inf, _MAX_PERSISTENCE])
     rng = np.random.default_rng(MULTISTART_SEED)
-    scales = np.array([0.1, 0.1, 0.3, 0.3, 0.2, 0.05] + ([0.3] if dist != "normal" else []))
-    starts = [z0] + [z0 + rng.normal(0.0, scales) for _ in range(_MULTISTARTS - 1)]
+    starts = [x0] + [x0 + rng.normal(0.0, _START_SPREAD[:k]) for _ in range(_MULTISTARTS - 1)]
 
-    best = None
-    iterations = 0
-    any_success = False
-    for z_start in starts:
-        res = minimize(
-            _objective, z_start, args=(r, dist, sigma2_init),
-            method="Nelder-Mead",
-            options={
-                "maxiter": 1000,
-                "fatol": 1e-7,
-                "xatol": 1e-6,
-                "adaptive": True,
-            },
-        )
-        iterations += res.nit
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
+    results = [
+        minimize(_objective, x_start, args=(r, dist, sigma2_init, units), method="SLSQP",
+                 bounds=bounds, constraints=constraints,
+                 options={"ftol": _FTOL, "maxiter": _MAXITER})
+        for x_start in starts
+    ]
+    best = min(results, key=lambda res: (not res.success, res.fun))
 
-    polish = minimize(
-        _objective, best.x, args=(r, dist, sigma2_init),
-        method="BFGS",
-        options={"gtol": 1e-6, "maxiter": 500},
-    )
-    iterations += polish.nit
-    if polish.fun <= best.fun and np.isfinite(polish.fun):
-        z_opt, f_opt = polish.x, polish.fun
-        converged = bool(polish.success or any_success)
-    else:
-        z_opt, f_opt = best.x, best.fun
-        converged = any_success
-
-    params = _z_to_params(z_opt, dist)
-    try:
-        params.validate()
-    except ValueError:
-        converged = False
+    # SLSQP meets alpha + gamma >= 0 only to about 1e-11
+    x = best.x.copy()
+    x[5] = max(x[5], -x[3])
+    params = _params_at(x, units, dist)
+    nll = neg_log_likelihood(params, r, sigma2_init)
 
     se = std_errors(r, params, sigma2_init=sigma2_init)
     return TgarchFit(
         params=params,
         std_errors=se.values,
-        loglik=-float(f_opt),
-        converged=converged,
-        iterations=int(iterations),
+        loglik=-nll,
+        converged=bool(best.success),
+        iterations=sum(int(res.nit) for res in results),
         hessian_ok=se.hessian_ok,
         nobs=len(r),
-        fit_seconds=time.perf_counter() - t0,
     )
 
 
@@ -289,18 +257,19 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
 
     k = len(p0)
     # additive floor: a purely relative step underflows into round-off noise
-    # for near-zero parameters (second differences of an O(1e4) objective)
+    # for near-zero parameters (second differences of an O(1e4) objective).
+    # Dividing by each step in turn keeps h^2 from overflowing at huge scales.
     h = _SE_REL_STEP * (np.abs(p0) + 0.1)
     hess = np.empty((k, k))
     f0 = f(p0)
     for i in range(k):
         ei = np.zeros(k); ei[i] = h[i]
-        hess[i, i] = (f(p0 + ei) - 2.0 * f0 + f(p0 - ei)) / h[i] ** 2
+        hess[i, i] = (f(p0 + ei) - 2.0 * f0 + f(p0 - ei)) / h[i] / h[i]
         for j in range(i + 1, k):
             ej = np.zeros(k); ej[j] = h[j]
             hess[i, j] = hess[j, i] = (
                 f(p0 + ei + ej) - f(p0 + ei - ej) - f(p0 - ei + ej) + f(p0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+            ) / (4.0 * h[i]) / h[j]
 
     if not np.all(np.isfinite(hess)):
         return StdErrors(values=None, hessian_ok=False)

@@ -120,6 +120,19 @@ class TestTgarch:
         manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
         assert "multistart" in manifest["seeds"]
 
+    def test_rolling_boundary_fits_are_kept(self, tmp_path):
+        # the first window's maximum lies on alpha + gamma = 0
+        series = tmp_path / "t.csv"
+        values = np.random.default_rng(6).standard_t(5, 430)
+        series.write_text("timestamp,value\n" + "".join(
+            f"{86400 * i},{float(v)!r}\n" for i, v in enumerate(values)))
+        track = tmp_path / "track.csv"
+        assert run(["rolling", "--input", str(series), "--estimator", "tgarch",
+                    "--window", "400", "--step", "30", "-o", str(track)]) == 0
+        rows = track.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith(",ok") for row in rows)
+
 
 class TestMfdfa:
     def test_cascade_roundtrip_matches_oracle(self, tmp_path):
@@ -284,8 +297,8 @@ REPLAY_CASES = {
                                         "--outlier-mode", "symmetric"], "r.csv"),
     "stats": (["--input", "{returns}"], ["--s0", "1.5", "--r-bar-mode", "literal",
                                          "--volatility-output", "vol.csv"], "stats.json"),
-    "agg-gauss": (["--input", "{ticks}"], ["--delta-ts", "60,360,1440", "--fit-min", "60",
-                                           "--fit-max", "360", "--min-nobs", "5"],
+    "agg-gauss": (["--input", "{ticks}"], ["--delta-ts", "60,360,1440", "--period-min", "60",
+                                           "--period-max", "360", "--min-nobs", "5"],
                   "agg.csv"),
     "tgarch": (["--input", "{returns}"], ["--dist", "normal"], "fit.json"),
     "mfdfa": (["--input", "{returns}"], _MFDFA_FLAGS, "mf"),
@@ -297,6 +310,21 @@ REPLAY_CASES = {
                       "--alpha", "0.05", "--beta", "0.85", "--gamma", "0.02",
                       "--dist", "ged", "--shape", "1.3"], "sim.csv"),
 }
+
+
+def test_mfdfa_fit_range_leaves_agg_gauss_periods(tmp_path):
+    """fit_min/fit_max are MF-DFA scales in bars; agg-gauss ignores them."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit_min": 20, "fit_max": 100}))
+    argv = ["agg-gauss", "--input", str(ticks), "--delta-ts", "5,30,60,1440",
+            "--min-nobs", "5"]
+    assert run([*argv, "--config", str(cfg), "-o", str(tmp_path / "a.csv")]) == 0
+    assert run([*argv, "-o", str(tmp_path / "b.csv")]) == 0
+    summary = json.loads((tmp_path / "a.json").read_text())
+    assert summary["fit_range"] == [5, 1440]
+    assert summary == json.loads((tmp_path / "b.json").read_text())
 
 
 @pytest.mark.parametrize("subcommand", sorted(REPLAY_CASES))

@@ -136,3 +136,18 @@ class TestCsv:
         assert [r["window_end"] for r in back.rows] == \
             [r["window_end"] for r in track.rows]
         assert back.rows[0]["payload"]["mean"] == track.rows[0]["payload"]["mean"]
+
+    def test_all_failed_track_roundtrip(self):
+        def failing(values):
+            raise ValueError("degenerate window")
+
+        track = rolling.rolling_apply(
+            make_returns(60, seed=7), rolling.RollingConfig(window=20, step=20), failing
+        )
+        text = rolling.track_to_csv(track)
+        lines = text.splitlines()
+        assert lines[0] == "window_start,window_end,status"
+        assert all(len(ln.split(",")) == 3 for ln in lines)
+        back = rolling.read_track_csv(text)
+        assert [r["status"] for r in back.rows] == ["failed"] * 3
+        assert all("payload" not in r for r in back.rows)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,23 @@ def normal_params(**kw):
                 dist="normal")
     base.update(kw)
     return tgarch.TgarchParams(**base)
+
+
+def best_step_gain(params, r):
+    """Largest log-likelihood gain of a feasible +-0.1 % coordinate step
+    (step 1e-3 * (|value| + 0.1)), the optimality rule of the benchmark's checks."""
+    base = tgarch.neg_log_likelihood(params, r)
+    gain = -math.inf
+    for name in params.free_names():
+        value = getattr(params, name)
+        h = 1e-3 * (abs(value) + 0.1)
+        for step in (h, -h):
+            try:
+                nll = tgarch.neg_log_likelihood(replace(params, **{name: value + step}), r)
+            except ValueError:  # the step leaves the feasible set
+                continue
+            gain = max(gain, base - nll)
+    return gain
 
 
 class TestFilterVolatility:
@@ -67,7 +86,9 @@ class TestFilterVolatility:
     def test_non_finite_input(self, bad, match):
         r = np.random.default_rng(0).standard_normal(300)
         r[123] = bad
-        with pytest.raises(ValueError, match=match):
+        # rejected before any NumPy warning is printed
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
+            warnings.simplefilter("error")
             tgarch.filter_volatility(normal_params(alpha=0.1, beta=0.8), r)
 
 
@@ -187,13 +208,27 @@ class TestFit:
     @pytest.mark.parametrize("dist,r", [
         ("normal", np.random.default_rng(5).standard_normal(400)),
         ("student-t", np.random.default_rng(6).standard_t(5, 400)),
-        # the GED shape runs to its clamp here (kappa = e^10)
+        # the GED shape runs to the upper end of its range here
         ("ged", np.random.default_rng(2).uniform(-1, 1, 600)),
     ])
     def test_reports_the_scored_parameters(self, dist, r):
         fit = tgarch.fit(r, dist)
         assert fit.loglik == pytest.approx(-tgarch.neg_log_likelihood(fit.params, r),
                                            rel=1e-12)
+
+    # i.i.d. series whose maximum lies on alpha + gamma = 0, with the
+    # log-likelihood that the earlier Nelder-Mead fit stopped at
+    @pytest.mark.parametrize("dist,r,earlier_loglik", [
+        ("normal", np.random.default_rng(5).standard_normal(400), -550.550907),
+        ("student-t", np.random.default_rng(6).standard_t(5, 400), -676.642837),
+    ], ids=["normal", "student-t"])
+    def test_boundary_fit_is_a_converged_maximum(self, dist, r, earlier_loglik):
+        fit = tgarch.fit(r, dist)
+        assert fit.converged
+        fit.params.validate()
+        assert fit.params.alpha + fit.params.gamma == pytest.approx(0.0, abs=1e-9)
+        assert fit.loglik >= earlier_loglik
+        assert best_step_gain(fit.params, r) <= 1e-5
 
     @given(arrays(np.float64, st.integers(100, 120),
                   elements=st.floats(-1e300, 1e300, allow_nan=False)))
