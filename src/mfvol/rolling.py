@@ -21,8 +21,6 @@ class RollingConfig:
 
 @dataclass
 class RollingTrack:
-    window: int
-    step: int
     rows: list = field(default_factory=list)
     # row: {window_start, window_end, status: ok|failed, payload | error}
 
@@ -67,7 +65,7 @@ def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
         return row
 
     rows = [run_one(k) for k in range(count)]
-    return RollingTrack(window=config.window, step=config.step, rows=rows)
+    return RollingTrack(rows=rows)
 
 
 @dataclass
@@ -139,7 +137,7 @@ def track_to_csv(track: RollingTrack) -> str:
 
 
 def read_track_csv(text: str) -> RollingTrack:
-    """Track from track_to_csv text; the CSV holds no window or step, so both read as 0."""
+    """Track from track_to_csv text; a failed row's error message is not kept."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     keys = header[2:-1]
@@ -159,7 +157,7 @@ def read_track_csv(text: str) -> RollingTrack:
         else:
             row["error"] = ""
         rows.append(row)
-    return RollingTrack(window=0, step=0, rows=rows)
+    return RollingTrack(rows=rows)
 
 
 def joined_to_csv(table: JoinedTable) -> str:

@@ -50,14 +50,6 @@ class DegenerateSampleError(ValueError):
     pass
 
 
-def _central_moments(values):
-    y = values - values.mean()
-    m2 = float((y**2).mean())
-    m3 = float((y**3).mean())
-    m4 = float((y**4).mean())
-    return m2, m3, m4
-
-
 def jackknife_se(values, statistic) -> float:
     """Delete-one jackknife standard error of an arbitrary statistic.
 
@@ -75,21 +67,17 @@ def jackknife_se(values, statistic) -> float:
             reps[i] = statistic(sub)
         except Exception as exc:
             raise RuntimeError(f"statistic failed on delete-one subsample {i}") from exc
-    return float(np.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2)))
+    return _se_from_replicates(reps)
 
 
-def _jackknife_moment_replicates(values):
+def _jackknife_moment_replicates(mean, y, t2, t3, t4):
     """Delete-one (mean, sd, skewness, kurtosis) replicates in O(n).
 
-    Uses power sums of the centered sample, so each delete-one moment is
-    exact; equivalent to looping np.delete but usable at n ~ 1e5.
+    From the centred sample y = x - mean and its power sums t2, t3, t4, so
+    each delete-one moment is exact; equivalent to looping np.delete but
+    usable at n ~ 1e5.
     """
-    x = np.asarray(values, dtype=np.float64)
-    n = len(x)
-    y = x - x.mean()
-    t2 = float((y**2).sum())
-    t3 = float((y**3).sum())
-    t4 = float((y**4).sum())
+    n = len(y)
     d = y / (n - 1)  # shift of the remaining sample's mean, sign flipped
 
     c2 = (t2 - y**2) - 2 * d * y + (n - 1) * d**2
@@ -97,7 +85,7 @@ def _jackknife_moment_replicates(values):
     c4 = (t4 - y**4) + 4 * d * (t3 - y**3) + 6 * d**2 * (t2 - y**2) - 4 * d**3 * y + (n - 1) * d**4
 
     m2 = c2 / (n - 1)
-    mean_i = x.mean() - d
+    mean_i = mean - d
     sd_i = np.sqrt(c2 / (n - 2))
     skew_i = (c3 / (n - 1)) / m2**1.5
     kurt_i = (c4 / (n - 1)) / m2**2
@@ -115,9 +103,13 @@ def descriptive(values) -> DescriptiveStats:
     n = len(x)
     if n < 4:
         raise ValueError("descriptive statistics need at least 4 observations")
-    # an overflow shows as a non-finite moment, rejected just below
+    # one set of centred power sums gives the moments and the jackknife; an
+    # overflow shows as a non-finite moment, rejected just below
     with np.errstate(over="ignore", invalid="ignore"):
-        m2, m3, m4 = _central_moments(x)
+        mean = float(x.sum()) / n
+        y = x - mean
+        t2, t3, t4 = (float((y**p).sum()) for p in (2, 3, 4))
+    m2, m3, m4 = t2 / n, t3 / n, t4 / n
     if m2 == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
 
@@ -133,10 +125,10 @@ def descriptive(values) -> DescriptiveStats:
             f"skewness {skewness!r} are not finite or violate Pearson's inequality"
         )
 
-    mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(x)
+    mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(mean, y, t2, t3, t4)
     return DescriptiveStats(
-        mean=float(x.mean()),
-        sd=float(x.std(ddof=1)),
+        mean=mean,
+        sd=math.sqrt(t2 / (n - 1)),
         kurtosis=float(kurtosis),
         skewness=float(skewness),
         nobs=n,

@@ -15,7 +15,7 @@ seeded with the sample variance of the fitted window.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import LinearConstraint, minimize
@@ -150,6 +150,12 @@ def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float
 
 # --- the constrained fit ---------------------------------------------------
 
+def _units(var, k):
+    """The solver's coordinates are x = theta / units: mu in units of
+    sqrt(var), omega in units of var, the rest as is."""
+    return np.array([math.sqrt(var), 1.0, var, 1.0, 1.0, 1.0, 1.0][:k])
+
+
 def _params_at(x, units, dist):
     """The parameters at the solver's point x, whose coordinates are the free
     parameters divided by ``units``."""
@@ -159,7 +165,8 @@ def _params_at(x, units, dist):
 
 def _objective(x, r, dist, sigma2_init, units):
     # +inf at a trial point whose variance overflows (one off the stationarity
-    # constraint, say); SLSQP's line search steps back from it
+    # constraint, say); SLSQP's line search steps back from it, and a Hessian
+    # that meets one is not finite
     return kernels.tgarch_nll(r, _params_at(x, units, dist), sigma2_init)
 
 
@@ -199,7 +206,7 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
 
     x0 = _moment_start(r, dist, sigma2_init)
     k = len(x0)
-    units = np.array([math.sqrt(sigma2_init), 1.0, sigma2_init, 1.0, 1.0, 1.0, 1.0][:k])
+    units = _units(sigma2_init, k)
     bounds = [(None, None), (None, None), (_OMEGA_FLOOR, None), (0.0, None), (0.0, None),
               (None, None), _SHAPE_BOUNDS.get(dist)][:k]
     # rows: alpha + gamma, and the persistence alpha + beta + gamma/2
@@ -235,41 +242,41 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
 
 
 def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> StdErrors:
-    """Asymptotic standard errors from the numerically differenced Hessian.
+    """Asymptotic standard errors from the numerically differenced Hessian
+    of the fit's own objective, in the solver's coordinates x = theta / units
+    (mu in units of sqrt(sigma2_init), omega in units of sigma2_init).
 
-    Central differences in the original parameter space with a per-parameter
-    relative step.  ``free`` restricts the Hessian to a subset of parameter
-    names (the rest held fixed).  A non-positive-definite Hessian yields
-    hessian_ok=False and no values.
+    Central differences with the step ``_SE_REL_STEP * (|x| + 0.1)``; each
+    standard error maps back as units * SE(x), so it scales with the returns.
+    ``free`` restricts the Hessian to a subset of parameter names (the rest
+    held fixed).  A non-positive-definite Hessian yields hessian_ok=False and
+    no values.
     """
     r = np.asarray(returns, dtype=np.float64)
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
-    names = list(free) if free is not None else params.free_names()
-    p0 = np.array([getattr(params, n) for n in names], dtype=np.float64)
+    all_names = params.free_names()
+    names = list(free) if free is not None else all_names
+    idx = [all_names.index(n) for n in names]
+    units = _units(sigma2_init, len(all_names))
+    x0 = np.array([getattr(params, n) for n in all_names]) / units
+    args = (r, params.dist, sigma2_init, units)
 
-    def f(p):
-        cand = replace(params, **dict(zip(names, p)))
-        try:
-            return kernels.tgarch_nll(r, cand, sigma2_init)
-        except (ValueError, OverflowError):
-            return math.inf
-
-    k = len(p0)
-    # additive floor: a purely relative step underflows into round-off noise
-    # for near-zero parameters (second differences of an O(1e4) objective).
-    # Dividing by each step in turn keeps h^2 from overflowing at huge scales.
-    h = _SE_REL_STEP * (np.abs(p0) + 0.1)
+    k = len(idx)
+    h = _SE_REL_STEP * (np.abs(x0[idx]) + 0.1)
+    steps = np.eye(len(x0))[idx] * h[:, None]
     hess = np.empty((k, k))
-    f0 = f(p0)
+    f0 = _objective(x0, *args)
     for i in range(k):
-        ei = np.zeros(k); ei[i] = h[i]
-        hess[i, i] = (f(p0 + ei) - 2.0 * f0 + f(p0 - ei)) / h[i] / h[i]
+        ei = steps[i]
+        hess[i, i] = (_objective(x0 + ei, *args) - 2.0 * f0
+                      + _objective(x0 - ei, *args)) / (h[i] * h[i])
         for j in range(i + 1, k):
-            ej = np.zeros(k); ej[j] = h[j]
+            ej = steps[j]
             hess[i, j] = hess[j, i] = (
-                f(p0 + ei + ej) - f(p0 + ei - ej) - f(p0 - ei + ej) + f(p0 - ei - ej)
-            ) / (4.0 * h[i]) / h[j]
+                _objective(x0 + ei + ej, *args) - _objective(x0 + ei - ej, *args)
+                - _objective(x0 - ei + ej, *args) + _objective(x0 - ei - ej, *args)
+            ) / (4.0 * h[i] * h[j])
 
     if not np.all(np.isfinite(hess)):
         return StdErrors(values=None, hessian_ok=False)
@@ -281,7 +288,7 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     diag = np.diag(cov)
     if np.any(diag <= 0):
         return StdErrors(values=None, hessian_ok=False)
-    return StdErrors(values=dict(zip(names, np.sqrt(diag))), hessian_ok=True)
+    return StdErrors(values=dict(zip(names, units[idx] * np.sqrt(diag))), hessian_ok=True)
 
 
 def simulate(params: TgarchParams, n: int, seed: int, burn_in: int = 1000) -> np.ndarray:

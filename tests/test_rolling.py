@@ -101,21 +101,21 @@ class TestJoin:
         assert len(joined.rows) == len(coarse.rows)
 
     def test_disjoint_error(self):
-        t1 = rolling.RollingTrack(10, 1, [
+        t1 = rolling.RollingTrack([
             {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"x": 1.0}}
         ])
-        t2 = rolling.RollingTrack(10, 1, [
+        t2 = rolling.RollingTrack([
             {"window_start": 100, "window_end": 109, "status": "ok", "payload": {"x": 2.0}}
         ])
         with pytest.raises(ValueError, match="no overlapping"):
             rolling.join_measures([t1, t2])
 
     def test_failed_rows_excluded_and_counted(self):
-        t1 = rolling.RollingTrack(10, 1, [
+        t1 = rolling.RollingTrack([
             {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"x": 1.0}},
             {"window_start": 1, "window_end": 10, "status": "ok", "payload": {"x": 2.0}},
         ])
-        t2 = rolling.RollingTrack(10, 1, [
+        t2 = rolling.RollingTrack([
             {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"y": 3.0}},
             {"window_start": 1, "window_end": 10, "status": "failed", "error": "x"},
         ])

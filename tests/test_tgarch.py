@@ -282,6 +282,27 @@ class TestStdErrors:
         assert not se.hessian_ok
         assert se.values is None
 
+    @pytest.fixture(scope="class")
+    def unit_scale_fit(self):
+        truth = tgarch.TgarchParams(mu=0.05, c1=0.05, omega=0.2, alpha=0.1, beta=0.8,
+                                    gamma=-0.05, dist="student-t", shape=6.0)
+        r = tgarch.simulate(truth, 1000, seed=31)
+        return r, tgarch.fit(r)
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2])
+    def test_scale_with_the_returns(self, unit_scale_fit, c):
+        # decimal returns (c = 1e-2) must get the standard errors of percent
+        # returns, in their own units: SE(mu) ~ c, SE(omega) ~ c^2
+        r, base = unit_scale_fit
+        assert base.hessian_ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = tgarch.fit(r * c)
+        assert scaled.hessian_ok
+        power = {"mu": 1, "omega": 2}
+        for name, se in base.std_errors.items():
+            assert scaled.std_errors[name] / c ** power.get(name, 0) == pytest.approx(se, rel=1e-4)
+
 
 def test_fit_json_schema():
     truth = tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8, gamma=-0.05,
