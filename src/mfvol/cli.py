@@ -24,6 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, ingest, mfdfa, rolling, stats, synth, tgarch
 
 
@@ -326,9 +328,8 @@ def cmd_simulate(s, inputs, output):
         series = tgarch.simulate(params, s["n"], s["seed"])
     else:
         raise ValueError(f"unknown model {s['model']!r}")
-    lines = ["timestamp,value,flag"]
-    lines += [f"{i * 86400},{format(float(v), '.17g')},ok" for i, v in enumerate(series)]
-    _write(output, "\n".join(lines) + "\n")
+    times = 86400 * np.arange(len(series), dtype=np.int64)
+    _write(output, ingest.returns_to_csv(ingest.ReturnSeries(1440, times, series)))
     return {"series": s["seed"]}
 
 

@@ -8,6 +8,7 @@ bar grid and returns are percent log differences.
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,17 +67,53 @@ class ReturnSeries:
         return len(self.values)
 
 
-def _as_text_lines(source):
+def _read_text(source) -> str:
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return source.decode("utf-8")
     if isinstance(source, str):
-        return io.StringIO(source)
+        return source
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     raise TypeError("source must be str, bytes, or a file-like object")
+
+
+_TICK_ROW = np.dtype([("t", np.int64), ("p", np.float64), ("a", np.float64)])
+_RETURN_ROW = np.dtype([("t", np.int64), ("v", np.float64)])
+# Line breaks of str.splitlines that np.loadtxt reads as field characters.
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _load_rows(text, dtype, **kwargs):
+    """All rows of ``text`` from one np.loadtxt call, or None when it fails.
+
+    None sends the caller to its line loop, which is the reference: it skips
+    whitespace-only lines, reads ``1_000``, and names the line of an error.
+    Text whose line breaks the two could split differently (a lone CR, a
+    form feed, ...) goes to the loop unread.
+    """
+    if any(c in text for c in _OTHER_BREAKS) or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1, **kwargs)
+    except (ValueError, Warning):
+        return None
+
+
+def _tick_series(timestamps, prices, amounts) -> TickSeries:
+    timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
+    prices = np.ascontiguousarray(prices, dtype=np.float64)
+    amounts = np.ascontiguousarray(amounts, dtype=np.float64)
+    was_sorted = bool(np.all(np.diff(timestamps) >= 0)) if len(timestamps) > 1 else True
+    if not was_sorted:
+        order = np.argsort(timestamps, kind="stable")
+        timestamps, prices, amounts = timestamps[order], prices[order], amounts[order]
+    return TickSeries(timestamps, prices, amounts, input_was_sorted=was_sorted)
 
 
 def parse_ticks(source) -> TickSeries:
@@ -85,9 +122,22 @@ def parse_ticks(source) -> TickSeries:
     Empty lines are skipped.  Records are returned in timestamp order; a
     stable sort is applied when the input is out of order (recorded in
     ``input_was_sorted``) so that "last trade wins" semantics survive.
+    The text is read as one array; input that fails that read or its checks
+    is parsed line by line, which raises naming the offending line.
     """
+    text = _read_text(source)
+    rows = _load_rows(text, _TICK_ROW)
+    if rows is not None:
+        t, p, a = rows["t"], rows["p"], rows["a"]
+        if np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all():
+            return _tick_series(t, p, a)
+    return _parse_tick_lines(text)
+
+
+def _parse_tick_lines(text) -> TickSeries:
+    """`parse_ticks` one line at a time: the reference, and its error report."""
     ts, px, am = [], [], []
-    for lineno, raw in enumerate(_as_text_lines(source), start=1):
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -107,22 +157,15 @@ def parse_ticks(source) -> TickSeries:
         ts.append(t)
         px.append(p)
         am.append(a)
-
-    timestamps = np.asarray(ts, dtype=np.int64)
-    prices = np.asarray(px, dtype=np.float64)
-    amounts = np.asarray(am, dtype=np.float64)
-    was_sorted = bool(np.all(np.diff(timestamps) >= 0)) if len(timestamps) > 1 else True
-    if not was_sorted:
-        order = np.argsort(timestamps, kind="stable")
-        timestamps, prices, amounts = timestamps[order], prices[order], amounts[order]
-    return TickSeries(timestamps, prices, amounts, input_was_sorted=was_sorted)
+    return _tick_series(ts, px, am)
 
 
 def ticks_to_csv(ticks: TickSeries) -> str:
     """Serialize back to the input format (round-trips bit-identically)."""
     lines = [
-        f"{t},{float(p)!r},{float(a)!r}"
-        for t, p, a in zip(ticks.timestamps, ticks.prices, ticks.amounts)
+        f"{t},{p!r},{a!r}"
+        for t, p, a in zip(ticks.timestamps.tolist(), ticks.prices.tolist(),
+                           ticks.amounts.tolist())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -199,14 +242,10 @@ def filter_outliers(
     )
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def returns_to_csv(returns: ReturnSeries) -> str:
     out = ["timestamp,value,flag"]
-    for t, v in zip(returns.times, returns.values):
-        out.append(f"{t},{_fmt(v)},ok")
+    for t, v in zip(returns.times.tolist(), returns.values.tolist()):
+        out.append(f"{t},{v:.17g},ok")
     return "\n".join(out) + "\n"
 
 
@@ -226,11 +265,21 @@ def read_returns_csv(source) -> ReturnSeries:
     """Read a returns CSV produced by `returns_to_csv` (flag column optional).
 
     A malformed row or a non-finite value raises ValueError naming its
-    1-based line number.
+    1-based line number.  As in `parse_ticks`, the text is read as one array
+    and only input that fails that read or its check is read line by line.
     """
-    text = _as_text_lines(source).read()
+    text = _read_text(source)
+    # a header anywhere but on line 1 fails the array read and goes to the loop
+    header = text[:9].lower() == "timestamp"
+    rows = _load_rows(text, _RETURN_ROW, usecols=(0, 1), skiprows=int(header))
+    if rows is not None and np.isfinite(rows["v"]).all():
+        return _return_series(rows["t"], rows["v"])
+    return _read_return_lines(text)
+
+
+def _read_return_lines(text) -> ReturnSeries:
+    """`read_returns_csv` one line at a time: the reference, and its error report."""
     times, values = [], []
-    delta_t = None
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if lines and lines[0][1].lower().startswith("timestamp"):
         lines = lines[1:]
@@ -244,10 +293,14 @@ def read_returns_csv(source) -> ReturnSeries:
             raise ValueError(f"line {lineno}: non-finite return {parts[1]}")
         times.append(t)
         values.append(v)
-    times = np.asarray(times, dtype=np.int64)
+    return _return_series(times, values)
+
+
+def _return_series(times, values) -> ReturnSeries:
+    times = np.ascontiguousarray(times, dtype=np.int64)
+    delta_t = None
     if len(times) > 1:
-        gaps = np.diff(times)
-        step = int(np.min(gaps)) if len(gaps) else 0
+        step = int(np.min(np.diff(times)))
         if step > 0 and step % 60 == 0:
             delta_t = step // 60
-    return ReturnSeries(delta_t or 1, times, np.asarray(values, dtype=np.float64))
+    return ReturnSeries(delta_t or 1, times, np.ascontiguousarray(values, dtype=np.float64))

@@ -79,10 +79,13 @@ def _jackknife_moment_replicates(mean, y, t2, t3, t4):
     """
     n = len(y)
     d = y / (n - 1)  # shift of the remaining sample's mean, sign flipped
+    # products, not y**3 or d**4: NumPy's general power is ~50x slower
+    y2, d2 = y * y, d * d
+    y3, d3 = y2 * y, d2 * d
 
-    c2 = (t2 - y**2) - 2 * d * y + (n - 1) * d**2
-    c3 = (t3 - y**3) + 3 * d * (t2 - y**2) - 3 * d**2 * y + (n - 1) * d**3
-    c4 = (t4 - y**4) + 4 * d * (t3 - y**3) + 6 * d**2 * (t2 - y**2) - 4 * d**3 * y + (n - 1) * d**4
+    c2 = (t2 - y2) - 2 * d * y + (n - 1) * d2
+    c3 = (t3 - y3) + 3 * d * (t2 - y2) - 3 * d2 * y + (n - 1) * d3
+    c4 = (t4 - y2 * y2) + 4 * d * (t3 - y3) + 6 * d2 * (t2 - y2) - 4 * d3 * y + (n - 1) * d2 * d2
 
     m2 = c2 / (n - 1)
     mean_i = mean - d
@@ -108,7 +111,8 @@ def descriptive(values) -> DescriptiveStats:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(x.sum()) / n
         y = x - mean
-        t2, t3, t4 = (float((y**p).sum()) for p in (2, 3, 4))
+        y2 = y * y
+        t2, t3, t4 = float(y2.sum()), float((y2 * y).sum()), float((y2 * y2).sum())
     m2, m3, m4 = t2 / n, t3 / n, t4 / n
     if m2 == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")

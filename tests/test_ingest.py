@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvol import ingest
 
@@ -42,6 +45,24 @@ class TestParseTicks:
     def test_blank_lines_skipped(self):
         ticks = ingest.parse_ticks("1,2.0,1.0\n\n2,3.0,1.0\n")
         assert len(ticks) == 2
+
+    def test_whitespace_only_lines_skipped(self):
+        ticks = ingest.parse_ticks("1,2.0,1.0\n  \t\n2,3.0,1.0\r\n \r\n")
+        assert list(ticks.timestamps) == [1, 2]
+        assert list(ticks.prices) == [2.0, 3.0]
+
+    def test_empty_input_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ticks = ingest.parse_ticks("")
+        assert len(ticks) == 0
+        assert ticks.timestamps.dtype == np.int64
+        # np.loadtxt warns on empty input; the warning must not leave parse_ticks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ingest.parse_ticks("")
+            ingest.read_returns_csv("timestamp,value,flag\n")
+        assert caught == []
 
     def test_roundtrip_bit_identical(self):
         text = "10,1.2345678901234567,0.5\n20,100.25,1.0\n30,3.3333333333333335,0.1\n"
@@ -195,3 +216,112 @@ class TestSerialization:
         assert doc["delta_t_minutes"] == 1440
         assert doc["n_returns"] == 1
         assert doc["removed_outliers"] == [{"timestamp": 3, "value": 44.0}]
+
+
+def _outcome(parse, text):
+    """What a parser makes of ``text``: its arrays, or its error."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    if isinstance(result, ingest.TickSeries):
+        fields = (result.timestamps, result.prices, result.amounts)
+        flags = (result.input_was_sorted,)
+    else:
+        fields = (result.times, result.values)
+        flags = (result.delta_t_minutes,)
+    return flags + tuple((a.dtype.str, a.tobytes()) for a in fields)
+
+
+def _numeral(strategy):
+    """Plain, exponent and +-signed spellings of the drawn numbers."""
+    return st.tuples(strategy, st.sampled_from(["{!r}", "{:.6e}", "+{}", " {} "])).map(
+        lambda drawn: drawn[1].format(drawn[0]))
+
+
+_TIMES = st.integers(0, 10**10).map(str)
+_PRICES = _numeral(st.floats(1e-3, 1e6))
+_AMOUNTS = _numeral(st.floats(0.0, 1e3))
+_RETURNS = _numeral(st.floats(-1e3, 1e3))
+_ODD_NUMERALS = st.sampled_from(
+    ["1_000", "1_0.5", "nan", "-inf", "inf", "0", "-0.0", "-3", "1.0", "1e400", "x", ""])
+_ODD_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "  \t "]),
+    st.lists(st.one_of(_TIMES, _PRICES, _ODD_NUMERALS), min_size=2, max_size=4).map(",".join),
+)
+_EOL = st.sampled_from(["\n", "\r\n"])
+
+
+def _text(valid_row):
+    """Text of valid rows with up to two odd lines put in, CRLF or LF per line."""
+    @st.composite
+    def text(draw):
+        lines = draw(st.lists(valid_row, max_size=12))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
+        return "".join(line + draw(_EOL) for line in lines)
+
+    return text()
+
+
+class TestFastPathMatchesLineLoop:
+    """The one-array read answers exactly as the line loop it short-cuts."""
+
+    @given(_text(st.tuples(_TIMES, _PRICES, _AMOUNTS).map(",".join)))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_parse_ticks(self, text):
+        assert _outcome(ingest.parse_ticks, text) == _outcome(ingest._parse_tick_lines, text)
+
+    @given(_text(st.one_of(st.tuples(_TIMES, _RETURNS),
+                           st.tuples(_TIMES, _RETURNS, st.just("ok"))).map(",".join)),
+           st.sampled_from(["", "timestamp,value,flag\n", "Timestamp,value\r\n", "\n", "x,y\n"]))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_read_returns_csv(self, body, header):
+        text = header + body
+        assert (_outcome(ingest.read_returns_csv, text)
+                == _outcome(ingest._read_return_lines, text))
+
+    @pytest.mark.parametrize("text", ["60,1.5,ok\x0c120,2.5,ok\n", "60,1.5,x\u2028120,2.5\n",
+                                      "timestamp,value\r60,1.5\r120,2.5\n180,3.5\n"])
+    def test_returns_line_breaks_loadtxt_does_not_split(self, text):
+        # str.splitlines breaks lines at a lone CR, a form feed, U+2028, ...
+        assert (_outcome(ingest.read_returns_csv, text)
+                == _outcome(ingest._read_return_lines, text))
+        assert len(ingest.read_returns_csv(text)) >= 2
+
+    @pytest.mark.parametrize("text", ["1,2.0,1.0\r2,3.0,1.0\n", "1,2.0,1.0\r\r\n"])
+    def test_ticks_lone_carriage_return(self, text):
+        assert _outcome(ingest.parse_ticks, text) == _outcome(ingest._parse_tick_lines, text)
+
+
+class TestValidInputSkipsLineLoop:
+    @pytest.fixture
+    def no_line_loop(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("valid input reached the line loop")
+
+        monkeypatch.setattr(ingest, "_parse_tick_lines", refuse)
+        monkeypatch.setattr(ingest, "_read_return_lines", refuse)
+
+    def test_tick_file(self, no_line_loop, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 10_000
+        times = 1_400_000_000 + np.cumsum(rng.integers(0, 30, n))
+        prices = 500.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
+        amounts = rng.exponential(0.5, n)
+        path = tmp_path / "ticks.csv"
+        path.write_text(ingest.ticks_to_csv(ingest.TickSeries(times, prices, amounts)))
+        with open(path) as fh:
+            ticks = ingest.parse_ticks(fh)
+        assert np.array_equal(ticks.timestamps, times)
+        assert np.array_equal(ticks.prices, prices)
+        assert np.array_equal(ticks.amounts, amounts)
+
+    def test_returns_csv(self, no_line_loop):
+        times = 300 * np.arange(1, 1001, dtype=np.int64)
+        values = np.random.default_rng(4).standard_t(3, 1000)
+        text = ingest.returns_to_csv(ingest.ReturnSeries(5, times, values))
+        back = ingest.read_returns_csv(text.encode())
+        assert back.delta_t_minutes == 5
+        assert np.array_equal(back.times, times)
+        assert np.array_equal(back.values, values)

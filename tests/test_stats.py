@@ -78,6 +78,32 @@ class TestDescriptive:
         )
 
 
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_matches_power_form(self, scale):
+        # descriptive builds y**3 and y**4 from products; the tolerance
+        # against the ** form it replaced is 1e-12 relative
+        x = scale * np.random.default_rng(9).standard_t(3, 20_000)
+        n = len(x)
+        y = x - x.sum() / n
+        t2, t3, t4 = ((y**p).sum() for p in (2, 3, 4))
+        d = y / (n - 1)
+        c2 = (t2 - y**2) - 2 * d * y + (n - 1) * d**2
+        c3 = (t3 - y**3) + 3 * d * (t2 - y**2) - 3 * d**2 * y + (n - 1) * d**3
+        c4 = ((t4 - y**4) + 4 * d * (t3 - y**3) + 6 * d**2 * (t2 - y**2)
+              - 4 * d**3 * y + (n - 1) * d**4)
+        m2 = c2 / (n - 1)
+        replicates = {"se_mean": x.mean() - d, "se_sd": np.sqrt(c2 / (n - 2)),
+                      "se_skewness": c3 / (n - 1) / m2**1.5,
+                      "se_kurtosis": c4 / (n - 1) / m2**2}
+        expected = {"sd": np.sqrt(t2 / (n - 1)), "skewness": (t3 / n) / (t2 / n) ** 1.5,
+                    "kurtosis": (t4 / n) / (t2 / n) ** 2}
+        expected.update({k: np.sqrt((n - 1) / n * ((r - r.mean()) ** 2).sum())
+                         for k, r in replicates.items()})
+        got = stats.descriptive(x).as_dict()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
 class TestJackknife:
     def test_mean_identity(self):
         x = np.random.default_rng(1).standard_normal(50)
