@@ -12,8 +12,8 @@ for "_", its --config key is <name>, and its value resolves as
 command-line flag > --config JSON file > default.  A config key that no
 subcommand knows is a usage error; a key of another subcommand is ignored,
 so one config file can serve a whole pipeline.  Relative input paths are
-resolved against $MFVOL_DATA_DIR when set.  All numeric output uses 17
-significant digits.
+resolved against $MFVOL_DATA_DIR when set.  Numbers in CSV tables carry 17
+significant digits; JSON files use Python's shortest round-trip repr.
 """
 
 import argparse

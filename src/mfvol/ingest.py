@@ -80,6 +80,7 @@ def _read_text(source) -> str:
 
 _TICK_ROW = np.dtype([("t", np.int64), ("p", np.float64), ("a", np.float64)])
 _RETURN_ROW = np.dtype([("t", np.int64), ("v", np.float64)])
+_INT64_RANGE = range(-2**63, 2**63)  # the timestamps np.loadtxt reads
 # Line breaks of str.splitlines that np.loadtxt reads as field characters.
 _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -150,6 +151,8 @@ def _parse_tick_lines(text) -> TickSeries:
             a = float(parts[2])
         except ValueError as exc:
             raise TickParseError(lineno, str(exc)) from None
+        if t not in _INT64_RANGE:
+            raise TickParseError(lineno, f"timestamp {parts[0]} outside the int64 range")
         if not np.isfinite(p) or p <= 0.0:
             raise ValueError(f"line {lineno}: nonpositive or non-finite price {parts[1]}")
         if a < 0.0:
@@ -158,16 +161,6 @@ def _parse_tick_lines(text) -> TickSeries:
         px.append(p)
         am.append(a)
     return _tick_series(ts, px, am)
-
-
-def ticks_to_csv(ticks: TickSeries) -> str:
-    """Serialize back to the input format (round-trips bit-identically)."""
-    lines = [
-        f"{t},{p!r},{a!r}"
-        for t, p, a in zip(ticks.timestamps.tolist(), ticks.prices.tolist(),
-                           ticks.amounts.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def resample_last(ticks: TickSeries, delta_t_minutes: int) -> PriceSeries:
@@ -289,6 +282,8 @@ def _read_return_lines(text) -> ReturnSeries:
             t, v = int(parts[0]), float(parts[1])
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if t not in _INT64_RANGE:
+            raise ValueError(f"line {lineno}: timestamp {parts[0]} outside the int64 range")
         if not math.isfinite(v):
             raise ValueError(f"line {lineno}: non-finite return {parts[1]}")
         times.append(t)

@@ -105,7 +105,8 @@ def tgarch_nll(r, params, sigma2_init):
     elif dist == "student-t":
         kernel = 0.5 * (shape + 1.0) * float(np.log1p(w).sum())
     else:
-        kernel = 0.5 * float(np.sum(w ** (0.5 * shape)))
+        with np.errstate(over="ignore"):  # an overflow scores +inf below
+            kernel = 0.5 * float(np.sum(w ** (0.5 * shape)))
     nll = kernel + 0.5 * float(np.log(s2).sum()) - s2.size * log_c
     return nll if math.isfinite(nll) else math.inf
 

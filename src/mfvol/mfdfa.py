@@ -86,9 +86,7 @@ class SingularitySpectrum:
 
 def profile(returns) -> np.ndarray:
     """Cumulative sum of mean-removed values; endpoint is 0 by construction."""
-    r = finite_array(returns, "returns")
-    if len(r) < 2:
-        raise ValueError("profile needs at least 2 values")
+    r = finite_array(returns, "returns", 2)
     return np.cumsum(r - r.mean())
 
 
@@ -147,7 +145,7 @@ def _log_mean_moments(half_q, log_f2, log_f2_top):
 def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
     """Fluctuation functions F_q(s) over the configured (q, s) grid."""
     config.validate()
-    y = np.asarray(prof, dtype=np.float64)
+    y = finite_array(prof, "profile values", 2)
     s_grid = np.asarray(config.s_grid, dtype=int)
     q_grid = np.asarray(config.q_grid, dtype=np.float64)
     n = len(y)

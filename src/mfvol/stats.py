@@ -56,10 +56,8 @@ def jackknife_se(values, statistic) -> float:
     sqrt((n-1)/n * sum_i (theta_(i) - theta_bar)^2) over the n delete-one
     subsamples.  Failures on a subsample propagate with the offending index.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = finite_array(values, "values", 2)
     n = len(values)
-    if n < 2:
-        raise ValueError("jackknife needs at least 2 observations")
     reps = np.empty(n)
     for i in range(n):
         sub = np.delete(values, i)
@@ -97,38 +95,42 @@ def _jackknife_moment_replicates(mean, y, t2, t3, t4):
 
 def _se_from_replicates(reps):
     n = len(reps)
-    return float(np.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        se = float(np.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2)))
+    if not math.isfinite(se):
+        raise ValueError(f"jackknife standard error {se!r}: a replicate is not finite")
+    return se
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # rejected below
 def descriptive(values) -> DescriptiveStats:
     """Mean, SD, kurtosis, skewness with delete-one jackknife errors."""
-    x = finite_array(values, "values")
+    x = finite_array(values, "values", 4)
     n = len(x)
-    if n < 4:
-        raise ValueError("descriptive statistics need at least 4 observations")
     # one set of centred power sums gives the moments and the jackknife; an
     # overflow shows as a non-finite moment, rejected just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(x.sum()) / n
-        y = x - mean
-        y2 = y * y
-        t2, t3, t4 = float(y2.sum()), float((y2 * y).sum()), float((y2 * y2).sum())
+    mean = float(x.sum()) / n
+    y = x - mean
+    y2 = y * y
+    t2, t3, t4 = float(y2.sum()), float((y2 * y).sum()), float((y2 * y2).sum())
     m2, m3, m4 = t2 / n, t3 / n, t4 / n
     if m2 == 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
 
-    try:
+    # out of range: m2**2 overflows, or underflows into the imprecise subnormals
+    if np.finfo(np.float64).tiny <= m2 * m2 < math.inf:
         skewness = m3 / m2**1.5
         kurtosis = m4 / m2**2
-    except OverflowError:  # a Python float power raises where NumPy gives inf
+    else:
         skewness = kurtosis = math.inf
     if not (math.isfinite(kurtosis) and kurtosis >= 1.0 + skewness**2 - 1e-12):
-        # holds for every finite sample; fails only when the moments overflow
+        # holds for every finite sample; fails only when the moments leave the range
         raise ValueError(
             f"moments out of floating-point range: kurtosis {kurtosis!r} and "
             f"skewness {skewness!r} are not finite or violate Pearson's inequality"
         )
 
+    # _se_from_replicates rejects the non-finite replicate of a constant subsample
     mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(mean, y, t2, t3, t4)
     return DescriptiveStats(
         mean=mean,
@@ -151,9 +153,7 @@ def volatility_series(returns, s0: float = 0.0, r_bar_mode: str = "abs") -> Vola
     """
     if isinstance(returns, ingest.ReturnSeries):
         returns = returns.values
-    r = finite_array(returns, "returns")
-    if len(r) == 0:
-        raise ValueError("empty returns")
+    r = finite_array(returns, "returns", 1)
     if r_bar_mode == "abs":
         r_bar = float(np.abs(r).mean())
     elif r_bar_mode == "literal":

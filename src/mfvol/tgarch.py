@@ -115,19 +115,18 @@ def _default_sigma2_init(returns):
     """The presample variance of the recursion: the sample variance of the
     returns.  Raises ValueError unless it is positive and finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        var = float(np.var(np.asarray(returns, dtype=np.float64), ddof=1))
+        var = float(np.var(returns, ddof=1))
     if not 0.0 < var < math.inf:
         raise ValueError(f"degenerate input: the sample variance {var} is outside "
                          "the positive finite domain")
     return var
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> VolatilityPath:
     """Run the residual/variance recursion under fixed parameters."""
     params.validate()
-    r = finite_array(returns, "returns")
-    if len(r) < 2:
-        raise ValueError("need at least 2 returns")
+    r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
     sigma2, eps = kernels.tgarch_recursion(r, params, sigma2_init)
@@ -136,10 +135,11 @@ def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> Volati
     return VolatilityPath(sigma2=sigma2, eps=eps, sigma2_init=float(sigma2_init))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float:
     """Conditional NLL summed over observations 2..n (AR lag consumes one)."""
     params.validate()
-    r = np.asarray(returns, dtype=np.float64)
+    r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
     nll = kernels.tgarch_nll(r, params, sigma2_init)
@@ -199,9 +199,7 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
     """
     if dist not in DEFAULT_SHAPE:
         raise ValueError(f"unknown distribution {dist!r}")
-    r = finite_array(returns, "returns")
-    if len(r) < _MIN_OBS:
-        raise ValueError(f"need at least {_MIN_OBS} returns, got {len(r)}")
+    r = finite_array(returns, "returns", _MIN_OBS)
     sigma2_init = _default_sigma2_init(r)
 
     x0 = _moment_start(r, dist, sigma2_init)
@@ -241,6 +239,7 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> StdErrors:
     """Asymptotic standard errors from the numerically differenced Hessian
     of the fit's own objective, in the solver's coordinates x = theta / units
@@ -249,10 +248,10 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     Central differences with the step ``_SE_REL_STEP * (|x| + 0.1)``; each
     standard error maps back as units * SE(x), so it scales with the returns.
     ``free`` restricts the Hessian to a subset of parameter names (the rest
-    held fixed).  A non-positive-definite Hessian yields hessian_ok=False and
-    no values.
+    held fixed).  A non-finite (an overflowing step, say) or non-positive-definite
+    Hessian yields hessian_ok=False and no values.
     """
-    r = np.asarray(returns, dtype=np.float64)
+    r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
         sigma2_init = _default_sigma2_init(r)
     all_names = params.free_names()

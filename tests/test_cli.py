@@ -226,6 +226,15 @@ class TestErrorHandling:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "TickParseError"
 
+    def test_timestamp_beyond_int64_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "ticks.csv"
+        bad.write_text("1,1.0,1.0\n99999999999999999999,1.0,1.0\n")
+        assert run(["ingest", "--input", str(bad),
+                    "-o", str(tmp_path / "out.csv")]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "TickParseError"
+        assert "line 2" in report["message"]
+
     def test_nan_return_exit_one(self, tmp_path, capsys):
         series = tmp_path / "r.csv"
         run(["simulate", "--model", "gaussian", "--n", "300", "--seed", "3",
@@ -240,17 +249,19 @@ class TestErrorHandling:
         assert "line 152" in report["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["stats"],
-        ["tgarch"],
-        ["mfdfa"],
-        ["rolling", "--estimator", "mfdfa"],
-    ])
-    def test_overflowing_returns_one_json_error(self, tmp_path, argv):
-        # finite returns whose powers overflow: a NumPy warning printed before
-        # the error report would leave stderr no longer one JSON document
+    @pytest.mark.parametrize("argv,scale", [
+        (["stats"], 1e200),
+        (["tgarch"], 1e200),
+        (["mfdfa"], 1e200),
+        (["rolling", "--estimator", "mfdfa"], 1e200),
+        (["stats"], 1e-100),
+    ], ids=[f"argv{i}" for i in range(5)])
+    def test_overflowing_returns_one_json_error(self, tmp_path, argv, scale):
+        # finite returns whose powers overflow (or underflow): a NumPy warning
+        # printed before the error report would leave stderr no longer one
+        # JSON document
         series = tmp_path / "r.csv"
-        values = 1e200 * np.random.default_rng(0).standard_normal(300)
+        values = scale * np.random.default_rng(0).standard_normal(300)
         series.write_text("timestamp,value\n" + "".join(
             f"{60 * i},{float(v)!r}\n" for i, v in enumerate(values)))
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -64,13 +64,10 @@ class TestParseTicks:
             ingest.read_returns_csv("timestamp,value,flag\n")
         assert caught == []
 
-    def test_roundtrip_bit_identical(self):
-        text = "10,1.2345678901234567,0.5\n20,100.25,1.0\n30,3.3333333333333335,0.1\n"
-        t1 = ingest.parse_ticks(text)
-        t2 = ingest.parse_ticks(ingest.ticks_to_csv(t1))
-        assert np.array_equal(t1.timestamps, t2.timestamps)
-        assert np.array_equal(t1.prices, t2.prices)
-        assert np.array_equal(t1.amounts, t2.amounts)
+    def test_timestamp_beyond_int64_names_its_line(self):
+        with pytest.raises(ingest.TickParseError, match="int64") as exc:
+            ingest.parse_ticks("1,1.0,1.0\n99999999999999999999,1.0,1.0\n")
+        assert exc.value.line_number == 2
 
 
 class TestResampleLast:
@@ -202,6 +199,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 4: non-finite"):
             ingest.read_returns_csv(text)
 
+    def test_read_returns_timestamp_beyond_int64_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2: .*int64"):
+            ingest.read_returns_csv("timestamp,value\n99999999999999999999,1.0\n")
+
     def test_read_returns_malformed_row_line(self):
         with pytest.raises(ValueError, match="line 3"):
             ingest.read_returns_csv("timestamp,value,flag\n86400,1.5,ok\n172800\n")
@@ -244,7 +245,8 @@ _PRICES = _numeral(st.floats(1e-3, 1e6))
 _AMOUNTS = _numeral(st.floats(0.0, 1e3))
 _RETURNS = _numeral(st.floats(-1e3, 1e3))
 _ODD_NUMERALS = st.sampled_from(
-    ["1_000", "1_0.5", "nan", "-inf", "inf", "0", "-0.0", "-3", "1.0", "1e400", "x", ""])
+    ["1_000", "1_0.5", "nan", "-inf", "inf", "0", "-0.0", "-3", "1.0", "1e400", "x", "",
+     "9223372036854775807", "9223372036854775808", "-9223372036854775809"])
 _ODD_LINES = st.one_of(
     st.sampled_from(["", " ", "\t", "  \t "]),
     st.lists(st.one_of(_TIMES, _PRICES, _ODD_NUMERALS), min_size=2, max_size=4).map(",".join),
@@ -310,7 +312,8 @@ class TestValidInputSkipsLineLoop:
         prices = 500.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
         amounts = rng.exponential(0.5, n)
         path = tmp_path / "ticks.csv"
-        path.write_text(ingest.ticks_to_csv(ingest.TickSeries(times, prices, amounts)))
+        path.write_text("".join(f"{t},{p!r},{a!r}\n" for t, p, a in
+                                zip(times.tolist(), prices.tolist(), amounts.tolist())))
         with open(path) as fh:
             ticks = ingest.parse_ticks(fh)
         assert np.array_equal(ticks.timestamps, times)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ def test_nll_matches_loop(returns, dist, shape):
 def test_nll_invalid_params_inf(returns, omega, dist, shape):
     p = TgarchParams(omega=omega, alpha=0.1, beta=0.8, dist=dist, shape=shape)
     assert kernels.tgarch_nll(returns, p, 0.0) == math.inf
+
+
+def test_ged_power_overflow_scores_inf_without_warning():
+    r = np.r_[np.zeros(10), 1e6, np.zeros(10)]
+    p = TgarchParams(omega=0.01, alpha=0.05, beta=0.9, dist="ged", shape=50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.tgarch_nll(r, p, 0.01) == math.inf
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

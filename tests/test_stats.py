@@ -43,12 +43,13 @@ class TestDescriptive:
             stats.descriptive([1.0, 2.0, bad, 4.0, 5.0])
 
     def test_overflowing_moments_raise(self):
-        # finite input whose moments overflow: NumPy gives inf or NaN, a Python
-        # float power (m2**2 at 1e80) raises OverflowError, and the fourth
-        # moment alone can overflow while m2**2 stays finite (2e77)
+        # finite input whose moments leave the float range: NumPy gives inf or
+        # NaN, m2**2 overflows at 1e80, the fourth moment alone can overflow
+        # while m2**2 stays finite (2e77), and m2**2 underflows to 0 at 1e-100
         for values in ([1e200, -1e200, 3e200, 0.0, 2e200],
                        [1e80, -1e80, 3e80, 0.0, 2e80],
-                       [2e77, 0.0, 0.0, 0.0, 0.0]):
+                       [2e77, 0.0, 0.0, 0.0, 0.0],
+                       np.random.default_rng(0).normal(0, 1, 50) * 1e-100):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="Pearson"):
                     stats.descriptive(values)

@@ -92,6 +92,14 @@ class TestFilterVolatility:
             tgarch.filter_volatility(normal_params(alpha=0.1, beta=0.8), r)
 
 
+    @pytest.mark.parametrize("call", [tgarch.filter_volatility, tgarch.neg_log_likelihood])
+    def test_overflow_with_explicit_presample_variance(self, call):
+        r = 1e200 * np.random.default_rng(0).standard_normal(300)
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("error")
+            call(normal_params(alpha=0.1, beta=0.8), r, sigma2_init=1.0)
+
+
 class TestNegLogLikelihood:
     def test_standard_normal_at_zero(self):
         nll = tgarch.neg_log_likelihood(normal_params(), [0.0, 0.0],
@@ -242,6 +250,16 @@ class TestFit:
         assert all(math.isfinite(v) for v in (p.mu, p.c1, p.omega, p.alpha, p.beta, p.gamma))
         assert math.isfinite(fit.loglik) and fit.loglik > -1e10
 
+    def test_ged_fit_without_warning(self):
+        # the GED kernel's |z|^kappa overflows at some of the solver's trial points
+        truth = tgarch.TgarchParams(mu=0.03, c1=0.05, omega=0.2, alpha=0.1, beta=0.8,
+                                    gamma=-0.05, dist="student-t", shape=5.0)
+        r = tgarch.simulate(truth, 548, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = tgarch.fit(r, "ged")
+        assert fit.converged and math.isfinite(fit.loglik)
+
     def test_likelihood_called_through_kernels_attribute(self, monkeypatch):
         # the benchmark's tracer counts likelihood calls through this attribute
         calls = []
@@ -279,6 +297,17 @@ class TestStdErrors:
         r = np.random.default_rng(21).standard_normal(200)
         p = tgarch.TgarchParams(mu=50.0, omega=1.0, dist="student-t", shape=3.0)
         se = tgarch.std_errors(r, p, free=["mu"], sigma2_init=1.0)
+        assert not se.hessian_ok
+        assert se.values is None
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-120])
+    def test_tiny_returns_flagged_without_warning(self, scale):
+        # omega = 0.2 is ~1e159 sample variances: the Hessian's steps overflow
+        r = scale * np.random.default_rng(0).standard_normal(300)
+        p = tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8, gamma=-0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            se = tgarch.std_errors(r, p)
         assert not se.hessian_ok
         assert se.values is None
 
