@@ -165,9 +165,14 @@ def _params_at(x, units, dist):
 
 def _objective(x, r, dist, sigma2_init, units):
     # +inf at a trial point whose variance overflows (one off the stationarity
-    # constraint, say); SLSQP's line search steps back from it, and a Hessian
-    # that meets one is not finite
+    # constraint, say); SLSQP's line search steps back from it
     return kernels.tgarch_nll(r, _params_at(x, units, dist), sigma2_init)
+
+
+def _gradient(x, r, dist, sigma2_init, units):
+    # the analytic score in the solver's coordinates; not finite wherever the
+    # objective is +inf, so a Hessian that meets such a point is not finite
+    return kernels.tgarch_score(r, _params_at(x, units, dist), sigma2_init) * units
 
 
 def _moment_start(r, dist, var):
@@ -187,15 +192,16 @@ def _moment_start(r, dist, var):
 def fit(returns, dist: str = "student-t") -> TgarchFit:
     """Constrained maximum-likelihood fit.
 
-    Seeded multistart SLSQP over (mu, c1, omega, alpha, beta, gamma[, shape])
-    with omega >= a positive floor, alpha, beta >= 0 and the shape in its law's
-    range as bounds, and alpha + gamma >= 0 and alpha + beta + gamma/2 <=
-    1 - 1e-6 as linear constraints.  mu and omega are measured in units of the
-    sample standard deviation and variance, so the solver's steps do not
-    depend on the scale of the returns.  The best start is projected onto the
-    feasible set and scored again; ``converged`` is that start's SLSQP exit,
-    so an optimum on a constraint is a converged fit.  Deterministic for
-    fixed inputs and dist.
+    Seeded multistart SLSQP, with the analytic score as its gradient, over
+    (mu, c1, omega, alpha, beta, gamma[, shape]) with omega >= a positive
+    floor, alpha, beta >= 0 and the shape in its law's range as bounds, and
+    alpha + gamma >= 0 and alpha + beta + gamma/2 <= 1 - 1e-6 as linear
+    constraints.  mu and omega are measured in units of the sample standard
+    deviation and variance, so the solver's steps do not depend on the scale
+    of the returns.  The best start is projected onto the feasible set and
+    scored again; ``converged`` is that start's SLSQP exit, so an optimum on
+    a constraint is a converged fit.  Deterministic for fixed inputs and
+    dist.
     """
     if dist not in DEFAULT_SHAPE:
         raise ValueError(f"unknown distribution {dist!r}")
@@ -215,7 +221,7 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
 
     results = [
         minimize(_objective, x_start, args=(r, dist, sigma2_init, units), method="SLSQP",
-                 bounds=bounds, constraints=constraints,
+                 jac=_gradient, bounds=bounds, constraints=constraints,
                  options={"ftol": _FTOL, "maxiter": _MAXITER})
         for x_start in starts
     ]
@@ -241,15 +247,16 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> StdErrors:
-    """Asymptotic standard errors from the numerically differenced Hessian
-    of the fit's own objective, in the solver's coordinates x = theta / units
-    (mu in units of sqrt(sigma2_init), omega in units of sigma2_init).
+    """Asymptotic standard errors from the Hessian of the fit's own
+    objective, in the solver's coordinates x = theta / units (mu in units of
+    sqrt(sigma2_init), omega in units of sigma2_init).
 
-    Central differences with the step ``_SE_REL_STEP * (|x| + 0.1)``; each
-    standard error maps back as units * SE(x), so it scales with the returns.
-    ``free`` restricts the Hessian to a subset of parameter names (the rest
-    held fixed).  A non-finite (an overflowing step, say) or non-positive-definite
-    Hessian yields hessian_ok=False and no values.
+    Each Hessian column is a central difference of the analytic score, with
+    the step ``_SE_REL_STEP * (|x| + 0.1)``, and the matrix is symmetrized;
+    each standard error maps back as units * SE(x), so it scales with the
+    returns.  ``free`` restricts the Hessian to a subset of parameter names
+    (the rest held fixed).  A non-finite (an overflowing step, say) or
+    non-positive-definite Hessian yields hessian_ok=False and no values.
     """
     r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
@@ -261,21 +268,11 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     x0 = np.array([getattr(params, n) for n in all_names]) / units
     args = (r, params.dist, sigma2_init, units)
 
-    k = len(idx)
     h = _SE_REL_STEP * (np.abs(x0[idx]) + 0.1)
     steps = np.eye(len(x0))[idx] * h[:, None]
-    hess = np.empty((k, k))
-    f0 = _objective(x0, *args)
-    for i in range(k):
-        ei = steps[i]
-        hess[i, i] = (_objective(x0 + ei, *args) - 2.0 * f0
-                      + _objective(x0 - ei, *args)) / (h[i] * h[i])
-        for j in range(i + 1, k):
-            ej = steps[j]
-            hess[i, j] = hess[j, i] = (
-                _objective(x0 + ei + ej, *args) - _objective(x0 + ei - ej, *args)
-                - _objective(x0 - ei + ej, *args) + _objective(x0 - ei - ej, *args)
-            ) / (4.0 * h[i] * h[j])
+    hess = np.array([_gradient(x0 + step, *args) - _gradient(x0 - step, *args)
+                     for step in steps])[:, idx] / (2.0 * h[:, None])
+    hess = 0.5 * (hess + hess.T)
 
     if not np.all(np.isfinite(hess)):
         return StdErrors(values=None, hessian_ok=False)

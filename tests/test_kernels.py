@@ -93,6 +93,65 @@ def test_ged_power_overflow_scores_inf_without_warning():
         assert kernels.tgarch_nll(r, p, 0.01) == math.inf
 
 
+# Points in scale-free units: mu in units of the returns' scale, omega in its
+# square, the rest as is.
+SCORE_POINTS = {
+    "interior": (0.05, -0.1, 0.3, 0.08, 0.85, 0.04),
+    "alpha_plus_gamma_near_0": (0.05, 0.1, 0.2, 0.05, 0.9, -0.049999),
+    "gamma_negative_beta_0": (-0.1, 0.05, 0.5, 0.3, 0.0, -0.2),
+    "gamma_negative": (0.02, -0.05, 0.1, 0.2, 0.6, -0.15),
+}
+
+
+def _central_difference(f, x, h):
+    """Fourth-order central differences of the scalar function f at x."""
+    grad = np.empty(len(x))
+    for i in range(len(x)):
+        step = np.zeros(len(x))
+        step[i] = h[i]
+        grad[i] = (8.0 * (f(x + step) - f(x - step))
+                   - (f(x + 2.0 * step) - f(x - 2.0 * step))) / (12.0 * h[i])
+    return grad
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("point", list(SCORE_POINTS))
+@pytest.mark.parametrize("dist,shape", [("normal", None), ("student-t", 5.0), ("ged", 1.4)])
+def test_score_matches_central_differences(dist, shape, point, scale):
+    r = np.random.default_rng(5).standard_t(5, 500) * scale
+    sigma2_init = 1.7 * scale**2
+    x = np.array(SCORE_POINTS[point] + ((shape,) if shape else ()))
+    units = np.array([scale, 1.0, scale**2, 1.0, 1.0, 1.0, 1.0])[:len(x)]
+
+    def params(x):
+        theta = [float(v) for v in x * units]
+        return TgarchParams(*theta[:6], dist=dist, shape=theta[6] if shape else None)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = kernels.tgarch_score(r, params(x), sigma2_init) * units
+        fd = _central_difference(lambda x: kernels.tgarch_nll(r, params(x), sigma2_init),
+                                 x, 1e-4 * (np.abs(x) + 0.1))
+    np.testing.assert_allclose(score, fd, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("r,p", [
+    (np.linspace(-1.0, 1.0, 50), TgarchParams(omega=-1.0, alpha=0.1, beta=0.8)),
+    (np.linspace(-1.0, 1.0, 50), TgarchParams(omega=0.2, alpha=0.1, beta=0.8, shape=2.0)),
+    (np.r_[np.ones(10), 1e200, np.ones(10)], TgarchParams(omega=0.2, alpha=0.1, beta=0.8)),
+    (np.r_[np.zeros(10), 1e6, np.zeros(10)],
+     TgarchParams(omega=0.01, alpha=0.05, beta=0.9, dist="ged", shape=50.0)),
+], ids=["negative_variance", "invalid_shape", "variance_overflow", "ged_power_overflow"])
+def test_score_not_finite_where_likelihood_is_inf(r, p):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert kernels.tgarch_nll(r, p, 0.1) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = kernels.tgarch_score(r, p, 0.1)
+    assert score.shape == (7,)
+    assert not np.all(np.isfinite(score))
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs far more to import than the whole CLI
     code = "import sys, mfvol.cli; print('scipy.signal' in sys.modules)"

@@ -78,6 +78,25 @@ class TestDescriptive:
             stats.jackknife_se(x, lambda v: v.std(ddof=1)), rel=1e-9
         )
 
+    def test_subsample_above_variance_floor_matches_loop(self):
+        # dropping the outlier leaves c2/t2 = 1.1e-5, above the 1e-6 floor
+        x = np.r_[np.tile([1.0, -1.0], 50), 3e3]
+        d = stats.descriptive(x)
+
+        def kurt(v):
+            y = v - v.mean()
+            return (y**4).mean() / (y**2).mean() ** 2
+
+        assert d.se_kurtosis == pytest.approx(stats.jackknife_se(x, kurt), rel=1e-5)
+
+    @pytest.mark.parametrize("values", [
+        np.r_[np.tile([1.0, -1.0], 50), 3e4],  # c2/t2 = 1.1e-7, below the floor
+        [2.0, 2.0, 2.0, 2.0, 2.0, 9.0],  # c2 is 0; rounding leaves c2/t2 = 2e-17
+    ], ids=["below_floor", "constant_up_to_rounding"])
+    def test_subsample_below_variance_floor_raises(self, values):
+        with pytest.raises(ValueError, match="replicate is not finite"):
+            stats.descriptive(values)
+
 
     @pytest.mark.parametrize("scale", [1.0, 0.01])
     def test_matches_power_form(self, scale):
