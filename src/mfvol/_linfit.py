@@ -1,13 +1,14 @@
-"""Ordinary least-squares line fit with slope standard error and R^2."""
+"""Ordinary least-squares line fits with slope standard error and R^2."""
 
 import numpy as np
 
 
 def fit_line(x, y):
-    """Fit y = a + b*x by OLS.
+    """Fit y = a + b*x by OLS, one line per row of y (along its last axis).
 
-    Returns (slope, intercept, slope_se, r_squared).  slope_se is None for
-    fewer than 3 points (zero residual degrees of freedom).
+    Returns (slope, intercept, slope_se, r_squared), each of shape
+    y.shape[:-1].  slope_se is None for fewer than 3 points (zero residual
+    degrees of freedom); r_squared is 1 for a row with no spread.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -18,11 +19,14 @@ def fit_line(x, y):
     sxx = float(xm @ xm)
     if sxx == 0.0:
         raise ValueError("degenerate abscissa: all x equal")
-    slope = float(xm @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    se = float(np.sqrt(ss_res / (n - 2) / sxx)) if n > 2 else None
+    y_mean = y.mean(axis=-1)
+    y_dev = y - y_mean[..., None]
+    slope = (y_dev @ xm) / sxx
+    intercept = y_mean - slope * x.mean()
+    resid = y - (intercept[..., None] + slope[..., None] * x)
+    ss_res = np.einsum("...j,...j->...", resid, resid)
+    ss_tot = np.einsum("...j,...j->...", y_dev, y_dev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+    se = np.sqrt(ss_res / (n - 2) / sxx) if n > 2 else None
     return slope, intercept, se, r2

@@ -244,16 +244,27 @@ def cmd_tgarch(s, inputs, output):
     return {"multistart": tgarch.MULTISTART_SEED}
 
 
+def _checked(make):
+    """The config ``make()`` builds, validated; a ValueError from either step
+    is a usage error, found before any input is read."""
+    try:
+        config = make()
+        config.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return config
+
+
 def _mfdfa_config(s):
     fit_range = (s["fit_min"], s["fit_max"])
     # the scale grid always covers the requested fit range
-    return mfdfa.MfdfaConfig(
+    return _checked(lambda: mfdfa.MfdfaConfig(
         s_grid=mfdfa.scale_grid(min(s["s_min"], fit_range[0]),
                                 max(s["s_max"], fit_range[1]), s["n_scales"]),
         detrend_order=s["detrend_order"],
         fit_range=fit_range,
         degree_q=s["degree_q"],
-    )
+    ))
 
 
 def cmd_mfdfa(s, inputs, output):
@@ -282,27 +293,23 @@ def _rolling_estimator(s):
             if not fit.converged:
                 raise RuntimeError("fit did not converge")
             return payload
-        return run
+        return rolling.each_window(run)
     if name == "mfdfa":
         cfg = _mfdfa_config(s)
-
-        def run(values):
-            result = mfdfa.analyze(values, cfg)
-            return {"h2": result["h2"], "dh": result["dh"], "dalpha": result["dalpha"]}
-        return run
+        if s["window"] < cfg.min_length:
+            raise UsageError(f"--window {s['window']} is too short for MF-DFA: 2 segments "
+                             f"at s={cfg.min_length // 2} need {cfg.min_length} returns")
+        return lambda windows: mfdfa.analyze_windows(windows, cfg)
     if name == "stats":
-        def run(values):
-            return stats.descriptive(values).as_dict()
-        return run
+        return rolling.each_window(lambda values: stats.descriptive(values).as_dict())
     raise ValueError(f"unknown estimator {name!r}")
 
 
 def cmd_rolling(s, inputs, output):
+    config = _checked(lambda: rolling.RollingConfig(window=s["window"], step=s["step"]))
+    estimator = _rolling_estimator(s)
     returns = _read_returns(inputs[0])
-    track = rolling.rolling_apply(
-        returns, rolling.RollingConfig(window=s["window"], step=s["step"]),
-        _rolling_estimator(s),
-    )
+    track = rolling.rolling_apply(returns, config, estimator)
     _write(output, rolling.track_to_csv(track))
     if s["estimator"] == "tgarch":
         return {"multistart": tgarch.MULTISTART_SEED}

@@ -8,14 +8,21 @@ and the singularity spectrum.
 Segments are taken forward from the start and backward from the end
 (2 * floor(N/s) per scale).  q = 0 uses logarithmic averaging; negative
 moments exclude zero-variance segments (counts are recorded).
+
+One kernel, _fluctuations, computes F_q(s) for a stack of profiles: a
+single series is a stack of one, and analyze_windows runs every window of
+a rolling analysis through it together, with each window's arithmetic
+unchanged.
 """
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linfit import fit_line
 from ._validate import finite_array
 
 _LOG_FLOOR = 1e-30
@@ -49,23 +56,46 @@ class MfdfaConfig:
     fit_range: tuple = (20, 100)
     degree_q: float = 4.0
 
+    @property
+    def min_length(self) -> int:
+        """Shortest series with 2 segments at the largest scale."""
+        return 2 * int(np.max(self.s_grid))
+
     def validate(self):
+        """ValueError unless analyze can run these settings (on a series of
+        at least min_length values)."""
+        self._validate_grids()
+        s = np.asarray(self.s_grid, dtype=int)
+        lo, hi = self.fit_range
+        if lo < s.min() or hi > s.max():
+            raise ValueError("fit_range must lie within the scale grid span")
+        if np.count_nonzero((s >= lo) & (s <= hi)) < 3:
+            raise ValueError("fit_range must hold at least 3 scales of the grid")
+        if not self.degree_q > 0:
+            raise ValueError("degree_q must be positive")
+        for q in (2.0, self.degree_q):
+            _grid_index(np.asarray(self.q_grid, dtype=np.float64), q)
+
+    def _validate_grids(self):
+        """ValueError unless fluctuation can run on these grids."""
         q = np.asarray(self.q_grid, dtype=np.float64)
         s = np.asarray(self.s_grid, dtype=int)
+        if self.detrend_order < 0:
+            raise ValueError("detrend_order must be >= 0")
         if len(s) == 0 or np.any(s < self.detrend_order + 2):
             raise ValueError("every scale must be >= detrend_order + 2")
+        if np.any(np.diff(s) <= 0):
+            raise ValueError("scales must be strictly increasing")
         if not np.allclose(np.sort(q), np.sort(-q), atol=1e-12):
             raise ValueError("q_grid must be symmetric about 0")
-        if self.fit_range[0] < s.min() or self.fit_range[1] > s.max():
-            raise ValueError("fit_range must lie within the scale grid span")
 
 
 @dataclass
 class FluctuationMatrix:
     q_grid: np.ndarray
     s_grid: np.ndarray
-    values: np.ndarray     # (n_q, n_s)
-    excluded: np.ndarray   # (n_q, n_s) int, zero-variance segments dropped
+    values: np.ndarray     # (n_q, n_s), or (W, n_q, n_s) for a stack of windows
+    excluded: np.ndarray   # int, shaped as values: zero-variance segments dropped
 
 
 @dataclass
@@ -102,113 +132,139 @@ def _segment_basis(s: int, order: int) -> np.ndarray:
     return q
 
 
-def _segment_variances(profile, s, basis):
+def _segment_variances(profiles, s, basis):
     """Detrended variance of every length-s segment, forward then backward.
 
-    ``basis`` is an (s, k) matrix with orthonormal columns spanning the
-    detrending polynomials on the segment abscissa.  Returns 2*floor(N/s)
-    residual variances (mean squared residual per segment).
+    ``profiles`` is one profile or a (W, n) stack of them; ``basis`` is an
+    (s, k) matrix with orthonormal columns spanning the detrending
+    polynomials on the segment abscissa.  Returns 2*floor(n/s) residual
+    variances (mean squared residual per segment) per profile.
     """
-    y = np.ascontiguousarray(profile, dtype=np.float64)
-    n = y.shape[0]
+    y = np.asarray(profiles, dtype=np.float64)
+    n, lead = y.shape[-1], y.shape[:-1]
     ns = n // s
-    fwd = y[: ns * s].reshape(ns, s)
-    bwd = y[n - ns * s :].reshape(ns, s)
-    segs = np.concatenate([fwd, bwd], axis=0)
+    fwd = y[..., : ns * s].reshape(*lead, ns, s)
+    bwd = y[..., n - ns * s :].reshape(*lead, ns, s)
+    segs = np.concatenate([fwd, bwd], axis=-2)
+    # One product per profile, shaped as for a profile alone: the round-off
+    # of a zero-variance segment depends on where BLAS finds its row, and
+    # positive moments keep that round-off.
     coeffs = segs @ basis
     # Residuals computed explicitly (not via the Pythagorean identity) so
     # that exactly-fitted segments come out at round-off level, not at the
     # much larger cancellation error of total - fitted.
     resid = segs - coeffs @ basis.T
-    return np.einsum("ij,ij->i", resid, resid) / s
+    return np.einsum("...ij,...ij->...i", resid, resid) / s
 
 
-def _log_mean_moments(half_q, log_f2, log_f2_top):
-    """ln mean_j exp(half_q[i] * log_f2[j]) for every row i.
+def _log_mean_moments(half_q, logs, top):
+    """ln mean_j exp(half_q[i] * logs[w, j]) for every row w and moment i.
 
-    ``log_f2_top`` is the element of ``log_f2`` that maximises every
-    exponent (its max for positive q, its min for negative q), so the shift
-    half_q * log_f2_top leaves no exponent positive.  The (q, segment)
-    exponents are built in blocks of rows of at most _BLOCK_ELEMS elements.
+    ``top[w]`` is the element of ``logs[w]`` that maximises every exponent
+    (its max for positive q, its min for negative q), so the shift
+    half_q * top leaves no exponent positive.  The (w, q, segment) exponents
+    are built in blocks of q rows of at most _BLOCK_ELEMS elements.
     """
-    shift = half_q * log_f2_top
-    log_sum = np.empty(len(half_q))
-    rows = max(1, _BLOCK_ELEMS // len(log_f2))
+    shift = np.multiply.outer(top, half_q)
+    log_sum = np.empty(shift.shape)
+    rows = max(1, _BLOCK_ELEMS // logs.size)
     for lo in range(0, len(half_q), rows):
-        block = np.multiply.outer(half_q[lo:lo + rows], log_f2)
-        block -= shift[lo:lo + rows, None]
+        block = half_q[lo:lo + rows, None] * logs[:, None, :]
+        block -= shift[:, lo:lo + rows, None]
         np.exp(block, out=block)
-        log_sum[lo:lo + rows] = np.log(block.sum(axis=1))
-    return log_sum + shift - math.log(len(log_f2))
+        log_sum[:, lo:lo + rows] = np.log(block.sum(axis=2))
+    return log_sum + shift - math.log(logs.shape[1])
 
 
-def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
-    """Fluctuation functions F_q(s) over the configured (q, s) grid."""
-    config.validate()
-    y = finite_array(prof, "profile values", 2)
+def _fluctuations(profiles, config: MfdfaConfig):
+    """F_q(s) of every row of a (W, n) stack of profiles, all rows at once.
+
+    Each row keeps its own zero-variance tolerance (from its own
+    max |profile|), its own exclusions and its own log-sum-exp shifts, and
+    comes out as it would alone.  Rows must be finite, with max |profile|
+    below 1e150.  Returns F as a (W, n_q, n_s) array and the zero-variance
+    segments excluded per row and scale, (W, n_s).  A row that keeps no
+    segment at some scale gets F = 1 there; its caller fails it.
+    """
     s_grid = np.asarray(config.s_grid, dtype=int)
     q_grid = np.asarray(config.q_grid, dtype=np.float64)
-    n = len(y)
-    if n < 2 * int(s_grid.max()):
-        raise ValueError(
-            f"profile of length {n} too short for 2 segments at s={int(s_grid.max())}"
-        )
-
-    y_max = float(np.max(np.abs(y)))
-    if not y_max < 1e150:
-        raise ValueError(f"profile magnitude {y_max:.3g} exceeds 1e150, so its squares overflow")
-    zero_tol = y_max ** 2 * 1e-26
-    values = np.empty((len(q_grid), len(s_grid)))
-    excluded = np.zeros((len(q_grid), len(s_grid)), dtype=int)
+    zero_tol = np.max(np.abs(profiles), axis=1) ** 2 * 1e-26
+    values = np.empty((len(profiles), len(q_grid), len(s_grid)))
+    excluded = np.empty((len(profiles), len(s_grid)), dtype=int)
     pos, neg, zero = q_grid > 0, q_grid < 0, q_grid == 0
     half_pos, half_neg = 0.5 * q_grid[pos], 0.5 * q_grid[neg]
 
     for js, s in enumerate(s_grid):
-        basis = _segment_basis(int(s), config.detrend_order)
-        fv = _segment_variances(y, int(s), basis)
-        nonzero = fv > zero_tol
-        n_excl = int(np.sum(~nonzero))
+        fv = _segment_variances(profiles, int(s), _segment_basis(int(s), config.detrend_order))
+        kept = fv > zero_tol[:, None]
+        n_kept = np.count_nonzero(kept, axis=1)
+        excluded[:, js] = fv.shape[1] - n_kept
+
+        # positive moments tolerate zero variances (floored in logs)
         log_all = np.log(np.maximum(fv, _LOG_FLOOR))
-        log_kept = np.log(fv[nonzero]) if n_excl else log_all
-        if len(log_kept) == 0:
-            raise ValueError(f"all segments have zero variance at s={int(s)}")
+        values[:, pos, js] = np.exp(
+            _log_mean_moments(half_pos, log_all, log_all.max(axis=1)) / q_grid[pos])
+        # negative ones and the q = 0 log-average use the kept segments only,
+        # the rows grouped by how many they keep into dense matrices
+        f_neg, f_zero = np.ones((len(fv), len(half_neg))), np.ones(len(fv))
+        for k in np.unique(n_kept[n_kept > 0]):
+            rows = np.flatnonzero(n_kept == k)
+            if k == fv.shape[1]:
+                log_kept = log_all[rows]
+            else:
+                log_kept = np.log(fv[rows][kept[rows]]).reshape(len(rows), k)
+            f_neg[rows] = np.exp(
+                _log_mean_moments(half_neg, log_kept, log_kept.min(axis=1)) / q_grid[neg])
+            # libm's exp, which can differ from np.exp in the last bit
+            f_zero[rows] = [math.exp(0.5 * m) for m in log_kept.mean(axis=1)]
+        values[:, neg, js] = f_neg
+        values[:, zero, js] = f_zero[:, None]
 
-        # positive moments tolerate zero variances (floored in logs);
-        # negative ones and the q = 0 log-average use the kept segments only
-        values[pos, js] = np.exp(
-            _log_mean_moments(half_pos, log_all, log_all.max()) / q_grid[pos])
-        values[neg, js] = np.exp(
-            _log_mean_moments(half_neg, log_kept, log_kept.min()) / q_grid[neg])
-        values[zero, js] = math.exp(0.5 * float(np.mean(log_kept)))
-        excluded[~pos, js] = n_excl
+    return values, excluded
 
-    return FluctuationMatrix(q_grid=q_grid, s_grid=s_grid, values=values, excluded=excluded)
+
+def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
+    """Fluctuation functions F_q(s) over the configured (q, s) grid."""
+    config._validate_grids()
+    y = finite_array(prof, "profile values", 2)
+    s_grid = np.asarray(config.s_grid, dtype=int)
+    q_grid = np.asarray(config.q_grid, dtype=np.float64)
+    n = len(y)
+    if n < config.min_length:
+        raise ValueError(
+            f"profile of length {n} too short for 2 segments at s={int(s_grid.max())}"
+        )
+    y_max = float(np.max(np.abs(y)))
+    if not y_max < 1e150:
+        raise ValueError(f"profile magnitude {y_max:.3g} exceeds 1e150, so its squares overflow")
+
+    values, excluded = _fluctuations(y[None, :], config)
+    empty = np.flatnonzero(excluded[0] == 2 * (n // s_grid))
+    if empty.size:
+        raise ValueError(f"all segments have zero variance at s={int(s_grid[empty[0]])}")
+    return FluctuationMatrix(q_grid=q_grid, s_grid=s_grid, values=values[0],
+                             excluded=_excluded_by_q(q_grid, excluded[0]))
+
+
+def _excluded_by_q(q_grid, excluded):
+    """Per-scale exclusion counts (..., n_s) as the (..., n_q, n_s) table:
+    zero-variance segments are dropped for q <= 0 only."""
+    return np.where(q_grid[:, None] <= 0, excluded[..., None, :], 0)
 
 
 def generalized_hurst(fmat: FluctuationMatrix, fit_range=None) -> HurstCurve:
-    """h(q) as the OLS slope of ln F_q(s) vs ln s over scales in fit_range."""
+    """h(q) as the OLS slope of ln F_q(s) vs ln s over scales in fit_range.
+
+    ``fmat.values`` may carry leading window axes, (..., n_q, n_s); the
+    curve's arrays then carry them too.
+    """
     if fit_range is None:
         fit_range = (int(fmat.s_grid.min()), int(fmat.s_grid.max()))
     mask = (fmat.s_grid >= fit_range[0]) & (fmat.s_grid <= fit_range[1])
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 scales inside fit_range")
-    # one centred least-squares fit per row of ln F, as in _linfit.fit_line
     x = np.log(fmat.s_grid[mask].astype(np.float64))
-    y = np.log(fmat.values[:, mask])
-    xm = x - x.mean()
-    sxx = float(xm @ xm)
-    if sxx == 0.0:
-        raise ValueError("degenerate abscissa: all scales in fit_range equal")
-    y_mean = y.mean(axis=1)
-    y_dev = y - y_mean[:, None]
-    h = (y_dev @ xm) / sxx
-    intercept = y_mean - h * x.mean()
-    resid = y - (intercept[:, None] + h[:, None] * x)
-    ss_res = np.einsum("ij,ij->i", resid, resid)
-    ss_tot = np.einsum("ij,ij->i", y_dev, y_dev)
-    se = np.sqrt(ss_res / (len(x) - 2) / sxx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+    h, _, se, r2 = fit_line(x, np.log(fmat.values[..., mask]))
     return HurstCurve(q_grid=fmat.q_grid, h=h, slope_se=se, r_squared=r2,
                       fit_range=tuple(fit_range))
 
@@ -232,7 +288,7 @@ def singularity_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     """alpha(q) = h + q h'(q), f(alpha) = q (alpha - h) + 1.
 
     h'(q) by central differences on the uniform q grid (one-sided at the
-    ends); f is exactly 1 at q = 0.
+    ends), along the last axis of ``curve.h``; f is exactly 1 at q = 0.
     """
     q = np.asarray(curve.q_grid, dtype=np.float64)
     if len(q) < 3:
@@ -240,7 +296,7 @@ def singularity_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     dq = np.diff(q)
     if np.max(np.abs(dq - dq[0])) > 1e-9:
         raise ValueError("q grid must be uniform")
-    hprime = np.gradient(curve.h, q, edge_order=1)
+    hprime = np.gradient(curve.h, q, axis=-1, edge_order=1)
     alpha = curve.h + q * hprime
     f = q * (alpha - curve.h) + 1.0
     return SingularitySpectrum(q_grid=q, alpha=alpha, f=f)
@@ -273,6 +329,72 @@ def analyze(returns, config: MfdfaConfig | None = None) -> dict:
         "hurst": curve,
         "spectrum": spec,
     }
+
+
+def _summary(returns, cfg):
+    """analyze's h2, dh and dalpha on one window, or the exception it raises."""
+    try:
+        result = analyze(returns, cfg)
+    except Exception as exc:
+        return exc
+    return {k: result[k] for k in ("h2", "dh", "dalpha")}
+
+
+def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
+    """analyze's h2, dh and dalpha for every row of a (W, n) stack of return
+    windows, or the exception analyze raises on that row.
+
+    The rows go through the pipeline together, in chunks whose F_q(s) table
+    holds at most _BLOCK_ELEMS numbers, and each row's arithmetic is
+    analyze's.  Only the moments the summary reads are computed: q = 2,
+    +-degree_q and their grid neighbours, which alpha's central difference
+    takes; the other rows of F are NaN, and so are h and alpha there.  A row the
+    batch cannot take (non-finite, a profile of 1e150 or more, or a scale
+    with no segment of nonzero variance), and every row of settings analyze
+    rejects, goes through analyze itself.
+    """
+    cfg = config or MfdfaConfig()
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 2:
+        raise ValueError(f"windows must be a two-dimensional stack, got shape {windows.shape}")
+    n = windows.shape[1]
+    try:
+        cfg.validate()
+        runs = n >= cfg.min_length
+    except ValueError:
+        runs = False
+    if not runs:  # analyze fails every row, each with its own message
+        return [_summary(row, cfg) for row in windows]
+
+    q_grid = np.asarray(cfg.q_grid, dtype=np.float64)
+    s_grid = np.asarray(cfg.s_grid, dtype=int)
+    i2, i_pos, i_neg = (_grid_index(q_grid, q) for q in (2.0, cfg.degree_q, -cfg.degree_q))
+    read = np.unique([i2, i_pos - 1, i_pos, i_pos + 1, i_neg - 1, i_neg, i_neg + 1])
+    read = read[(read >= 0) & (read < len(q_grid))]
+    moments = dataclasses.replace(cfg, q_grid=q_grid[read])
+    segments = 2 * (n // s_grid)
+    chunk = max(1, _BLOCK_ELEMS // (len(q_grid) * len(s_grid)))
+    out = []
+    for lo in range(0, len(windows), chunk):
+        r = np.array(windows[lo:lo + chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            prof = np.cumsum(r - r.mean(axis=1, keepdims=True), axis=1)
+            # such a row keeps no segment, so analyze reports it below
+            prof[~(np.max(np.abs(prof), axis=1) < 1e150)] = 0.0
+        # F on the whole grid, NaN in the rows the summary does not read
+        values = np.full((len(r), len(q_grid), len(s_grid)), np.nan)
+        values[:, read], excluded = _fluctuations(prof, moments)
+        failed = np.any(excluded == segments, axis=1)
+        curve = generalized_hurst(FluctuationMatrix(
+            q_grid, s_grid, values, _excluded_by_q(q_grid, excluded)), cfg.fit_range)
+        h, alpha = curve.h, singularity_spectrum(curve).alpha
+        h2 = h[:, i2]
+        dh = h[:, i_neg] - h[:, i_pos]
+        dalpha = alpha[:, i_neg] - alpha[:, i_pos]
+        out += [_summary(r[k], cfg) if failed[k] else
+                {"h2": float(h2[k]), "dh": float(dh[k]), "dalpha": float(dalpha[k])}
+                for k in range(len(r))]
+    return out
 
 
 def _fmt(x):

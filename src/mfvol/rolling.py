@@ -2,8 +2,9 @@
 assemble time-indexed tracks of the results.
 
 Windows are index-based on the regular (gap-filled) return grid: window k
-covers indices [k*step, k*step + window).  Failed estimator calls become
-flagged rows rather than silent gaps.
+covers indices [k*step, k*step + window).  The estimator gets all windows at
+once, as one stack; a window it fails on becomes a flagged row rather than a
+silent gap.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ class RollingConfig:
     window: int = 548
     step: int = 30
 
+    def validate(self):
+        if self.window < 1 or self.step < 1:
+            raise ValueError("window and step must be positive")
+
 
 @dataclass
 class RollingTrack:
@@ -31,12 +36,28 @@ def n_windows(n_obs: int, window: int, step: int) -> int:
     return (n_obs - window) // step + 1
 
 
+def each_window(fn):
+    """An estimator for rolling_apply from ``fn``, which maps one window's
+    values to a payload; an exception it raises is that window's outcome."""
+    def run(windows):
+        out = []
+        for values in windows:
+            try:
+                out.append(fn(values))
+            except Exception as exc:
+                out.append(exc)
+        return out
+    return run
+
+
 def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
     """Apply estimator to every window, in window order.
 
     ``series`` is a ReturnSeries (window labels are timestamps) or a plain
-    sequence (labels are indices).  ``estimator`` maps a window's values to
-    a dict of scalar measures; exceptions become failure rows.
+    sequence (labels are indices).  ``estimator`` maps the (count, window)
+    stack of windows, a read-only view of the series, to one outcome per
+    window: a dict of scalar measures, or an exception, which becomes a
+    failure row.  ``each_window`` makes one from a per-window function.
     """
     if isinstance(series, ingest.ReturnSeries):
         values = series.values
@@ -44,27 +65,24 @@ def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
     else:
         values = np.asarray(series, dtype=np.float64)
         times = np.arange(len(values), dtype=np.int64)
-    if config.window < 1 or config.step < 1:
-        raise ValueError("window and step must be positive")
+    config.validate()
     count = n_windows(len(values), config.window, config.step)
+    windows = np.lib.stride_tricks.sliding_window_view(values, config.window)[::config.step]
+    outcomes = estimator(windows)
+    if len(outcomes) != count:
+        raise ValueError(f"estimator gave {len(outcomes)} outcomes for {count} windows")
 
-    def run_one(k):
+    rows = []
+    for k, outcome in enumerate(outcomes):
         lo = k * config.step
-        hi = lo + config.window
-        row = {
-            "window_start": int(times[lo]),
-            "window_end": int(times[hi - 1]),
-        }
-        try:
-            payload = estimator(values[lo:hi])
-            row["status"] = "ok"
-            row["payload"] = payload
-        except Exception as exc:
+        row = {"window_start": int(times[lo]), "window_end": int(times[lo + config.window - 1])}
+        if isinstance(outcome, Exception):
             row["status"] = "failed"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-
-    rows = [run_one(k) for k in range(count)]
+            row["error"] = f"{type(outcome).__name__}: {outcome}"
+        else:
+            row["status"] = "ok"
+            row["payload"] = outcome
+        rows.append(row)
     return RollingTrack(rows=rows)
 
 

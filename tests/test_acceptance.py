@@ -227,7 +227,7 @@ def test_criterion_08_rolling_arithmetic(report):
     def estimator(values):
         return {"mean": float(np.mean(values)), "sd": float(np.std(values))}
 
-    rows = len(rolling.rolling_apply(series, cfg, estimator).rows)
+    rows = len(rolling.rolling_apply(series, cfg, rolling.each_window(estimator)).rows)
     ok = count == 89 and rows == 89
     report(8, ok, f"window count {count} (==89), track rows {rows} (==89)")
 

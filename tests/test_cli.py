@@ -275,6 +275,38 @@ class TestErrorHandling:
         assert report["subcommand"] == argv[0]
 
     @pytest.mark.parametrize("argv", [
+        ["rolling", "--estimator", "stats", "--window", "0"],
+        ["rolling", "--estimator", "stats", "--window", "-3"],
+        ["rolling", "--estimator", "tgarch", "--step", "0"],
+        ["mfdfa", "--s-min", "1"],
+        ["mfdfa", "--fit-min", "100", "--fit-max", "20"],
+        ["rolling", "--estimator", "mfdfa", "--fit-min", "100", "--fit-max", "20"],
+        ["mfdfa", "--degree-q", "3.3"],
+        ["mfdfa", "--detrend-order", "-1"],
+        ["rolling", "--estimator", "mfdfa", "--detrend-order", "-1"],
+        ["rolling", "--estimator", "mfdfa", "--window", "100"],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_bad_settings_usage_error(self, tmp_path, argv):
+        series = tmp_path / "r.csv"
+        run(["simulate", "--model", "gaussian", "--n", "600", "--seed", "4", "-o", str(series)])
+        out = tmp_path / "out.csv"
+        # checked before any input is read: a missing input gives the same exit
+        for path in (series, tmp_path / "missing.csv"):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--input", str(path), "-o", str(out)])
+            assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_window_longer_than_series_exit_one(self, tmp_path, capsys):
+        series = tmp_path / "r.csv"
+        run(["simulate", "--model", "gaussian", "--n", "600", "--seed", "4", "-o", str(series)])
+        capsys.readouterr()
+        assert run(["rolling", "--input", str(series), "--estimator", "mfdfa",
+                    "--window", "5000", "-o", str(tmp_path / "t.csv")]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["message"] == "series of length 600 shorter than window 5000"
+
+    @pytest.mark.parametrize("argv", [
         ["ingest"],
         ["agg-gauss", "--delta-ts", "60,1440"],
     ])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfvol import mfdfa, synth
+from mfvol import mfdfa, synth, tgarch
 from mfvol._linfit import fit_line
 
 
@@ -192,6 +192,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             mfdfa.MfdfaConfig(fit_range=(1, 5000)).validate()
 
+    def test_negative_detrend_order(self):
+        with pytest.raises(ValueError, match="detrend_order"):
+            mfdfa.MfdfaConfig(detrend_order=-1).validate()
+        with pytest.raises(ValueError, match="detrend_order"):
+            mfdfa.fluctuation(gaussian_window_profile(), mfdfa.MfdfaConfig(detrend_order=-1))
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"fit_range": (100, 20)}, "at least 3 scales"),
+        ({"fit_range": (20, 22)}, "at least 3 scales"),
+        ({"degree_q": 3.3}, "not on the moment grid"),
+        ({"degree_q": -4.0}, "positive"),
+        ({"q_grid": np.array([-1.0, 0.0, 1.0])}, "not on the moment grid"),
+        ({"s_grid": np.array([16, 64, 32, 128])}, "increasing"),
+    ])
+    def test_settings_analyze_cannot_run(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            mfdfa.MfdfaConfig(**kw).validate()
+
     def test_default_grid_lands_on_zero(self):
         q = mfdfa.default_q_grid()
         assert np.any(q == 0.0)
@@ -278,18 +296,149 @@ def test_zero_variance_segments_dropped_for_q_at_most_zero():
     assert np.all(fmat.excluded[fmat.q_grid <= 0] > 0)
 
 
-def test_generalized_hurst_matches_fit_line():
+def plain_line_fit(x, y):
+    """(slope, slope_se, r_squared) of one OLS line by a loop over the points."""
+    n = len(x)
+    mx, my = sum(x) / n, sum(y) / n
+    sxx = sum((a - mx) ** 2 for a in x)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    ss_res = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - my) ** 2 for b in y)
+    se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else None
+    return slope, se, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
+def test_generalized_hurst_matches_plain_loop():
     fmat = mfdfa.fluctuation(gaussian_window_profile(), mfdfa.MfdfaConfig())
     fmat.values[7] = 1.0  # ln F == 0 at every scale: ss_tot is exactly 0
     fit_range = (20, 100)
     curve = mfdfa.generalized_hurst(fmat, fit_range)
     mask = (fmat.s_grid >= fit_range[0]) & (fmat.s_grid <= fit_range[1])
-    x = np.log(fmat.s_grid[mask].astype(np.float64))
-    fits = [fit_line(x, np.log(row[mask])) for row in fmat.values]
+    x = [math.log(s) for s in fmat.s_grid[mask]]
+    fits = [plain_line_fit(x, [math.log(v) for v in row[mask]]) for row in fmat.values]
     assert_rel(curve.h, [f[0] for f in fits], 1e-13)
-    assert_rel(curve.slope_se, [f[2] for f in fits], 1e-13)
-    assert_rel(curve.r_squared, [f[3] for f in fits], 1e-13)
+    assert_rel(curve.slope_se, [f[1] for f in fits], 1e-13)
+    assert_rel(curve.r_squared, [f[2] for f in fits], 1e-13)
     assert curve.r_squared[7] == 1.0 and curve.h[7] == 0.0
+
+
+def test_fit_line_is_row_wise():
+    rng = np.random.default_rng(5)
+    x = np.log(np.arange(3, 9, dtype=np.float64))
+    y = rng.standard_normal((2, 3, len(x))) + 0.7 * x
+    slope, intercept, se, r2 = fit_line(x, y)
+    assert slope.shape == intercept.shape == se.shape == r2.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        want = plain_line_fit(list(x), list(y[i]))
+        assert_rel([slope[i], se[i], r2[i]], want, 1e-12)
+    # one row; two points leave no residual degrees of freedom
+    slope, _, se, r2 = fit_line([0.0, 1.0], [1.0, 3.0])
+    assert slope == 2.0 and se is None and r2 == 1.0
+
+
+# --- analyze_windows: every window at once, each as analyze computes it --------
+
+def assert_same_outcomes(batch, windows, cfg):
+    """analyze_windows' outcomes against analyze on each window: h2 and dh
+    within 1e-13, dalpha within 1e-12 (times max(1, |value|)); a failed
+    window has analyze's exception type and message."""
+    assert len(batch) == len(windows)
+    for got, w in zip(batch, windows):
+        try:
+            want = mfdfa.analyze(w, cfg)
+        except Exception as exc:
+            assert isinstance(got, Exception)
+            assert f"{type(got).__name__}: {got}" == f"{type(exc).__name__}: {exc}"
+            continue
+        assert not isinstance(got, Exception), got
+        for key, tol in (("h2", 1e-13), ("dh", 1e-13), ("dalpha", 1e-12)):
+            assert abs(got[key] - want[key]) <= tol * max(1.0, abs(want[key])), key
+
+
+def assert_kernel_matches_fluctuation(windows, cfg):
+    """The stacked kernel's F_q(s) within 1e-13 relative, and its exclusion
+    counts identical, to fluctuation on each window alone and, for the
+    first, middle and last window, to the scalar reference; returns the
+    per-window exclusion counts."""
+    profiles = np.cumsum(windows - windows.mean(axis=1, keepdims=True), axis=1)
+    values, excluded = mfdfa._fluctuations(profiles, cfg)
+    for k, w in enumerate(windows):
+        fmat = mfdfa.fluctuation(mfdfa.profile(w), cfg)
+        assert_rel(values[k], fmat.values, 1e-13)
+        assert np.array_equal(mfdfa._excluded_by_q(fmat.q_grid, excluded[k]), fmat.excluded)
+    for k in (0, len(windows) // 2, len(windows) - 1):
+        want, want_excluded = reference_fluctuation(profiles[k], cfg)
+        assert_rel(values[k], want, 1e-13)
+        assert np.array_equal(mfdfa._excluded_by_q(cfg.q_grid, excluded[k]), want_excluded)
+    return excluded
+
+
+def windows_of(series, window, step):
+    return np.lib.stride_tricks.sliding_window_view(series, window)[::step]
+
+
+def benchmark_like_series(seed):
+    """Sixteen windows of 548 daily TGARCH returns at step 1."""
+    params = tgarch.TgarchParams(omega=0.05, alpha=0.08, beta=0.88, gamma=-0.04,
+                                 dist="student-t", shape=5.0)
+    return tgarch.simulate(params, 548 + 15, seed)
+
+
+def flat_stretch_series():
+    """Dyadic returns, so every window's mean and profile are exact, with
+    exactly constant stretches: the segments inside one have zero variance
+    to round-off under a detrending of order >= 1, and the windows differ in
+    how many of them they hold."""
+    r = np.random.default_rng(17).integers(-40, 41, 1300) / 8.0
+    r[200:330] = 0.0
+    r[600:640] = 0.625
+    r[900:1000] = -1.25
+    return r
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_windows_match_analyze_on_benchmark_like_series(seed):
+    windows = windows_of(benchmark_like_series(seed), 548, 1)
+    cfg = mfdfa.MfdfaConfig()
+    assert_same_outcomes(mfdfa.analyze_windows(windows, cfg), windows, cfg)
+    assert_kernel_matches_fluctuation(np.array(windows), cfg)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_windows_match_analyze_across_flat_stretches(order):
+    # step 7 divides no scale of the default grid
+    windows = windows_of(flat_stretch_series(), 512, 7)
+    cfg = mfdfa.MfdfaConfig(detrend_order=order)
+    assert_same_outcomes(mfdfa.analyze_windows(windows, cfg), windows, cfg)
+    excluded = assert_kernel_matches_fluctuation(np.array(windows), cfg)
+    if order >= 1:
+        assert len({tuple(row) for row in excluded}) > 3
+
+
+def test_window_without_kept_segment_fails_as_analyze_does():
+    r = flat_stretch_series()
+    r[200:800] = 0.25  # the windows inside it have a profile of exact zeros
+    windows = windows_of(r, 512, 11)
+    cfg = mfdfa.MfdfaConfig()
+    batch = mfdfa.analyze_windows(windows, cfg)
+    failed = [str(o) for o in batch if isinstance(o, Exception)]
+    assert failed and set(failed) == {"all segments have zero variance at s=16"}
+    assert len(failed) < len(batch)
+    assert_same_outcomes(batch, windows, cfg)
+
+
+def test_windows_analyze_rejects_as_analyze_does():
+    windows = windows_of(benchmark_like_series(3), 548, 5)
+    bad = np.array(windows)
+    bad[0, 10] = np.nan
+    bad[1] *= 1e200  # finite, but the profile's squares overflow
+    for cfg in (mfdfa.MfdfaConfig(), mfdfa.MfdfaConfig(degree_q=3.3),
+                mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 300), fit_range=(20, 100))):
+        batch = mfdfa.analyze_windows(bad, cfg)
+        assert all(isinstance(o, ValueError) for o in batch[:2])
+        assert_same_outcomes(batch, bad, cfg)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        mfdfa.analyze_windows(bad[0], mfdfa.MfdfaConfig())
 
 
 def _imports(module_name, seen):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfvol import ingest, rolling
+from mfvol import ingest, mfdfa, rolling
 
 
 def make_returns(n, seed=0, step_seconds=86400):
@@ -10,6 +10,7 @@ def make_returns(n, seed=0, step_seconds=86400):
     return ingest.ReturnSeries(1440, times, rng.standard_normal(n))
 
 
+@rolling.each_window
 def mean_estimator(values):
     return {"mean": float(np.mean(values))}
 
@@ -47,6 +48,7 @@ class TestWindowArithmetic:
 
 class TestEstimatorHandling:
     def test_failures_recorded(self):
+        @rolling.each_window
         def flaky(values):
             if values[0] > 0:
                 raise RuntimeError("no convergence")
@@ -77,13 +79,75 @@ class TestEstimatorHandling:
         assert track.rows[0]["window_end"] == 9
 
 
+class TestWindowStack:
+    def test_estimator_gets_read_only_view_of_every_window(self):
+        series = make_returns(100, seed=3)
+        seen = []
+
+        def estimator(windows):
+            seen.append(windows)
+            return [{"first": float(w[0])} for w in windows]
+
+        track = rolling.rolling_apply(series, rolling.RollingConfig(window=20, step=7),
+                                      estimator)
+        (windows,) = seen
+        assert windows.shape == ((100 - 20) // 7 + 1, 20)
+        assert np.shares_memory(windows, series.values)
+        assert not windows.flags.writeable
+        assert np.array_equal(windows[3], series.values[21:41])
+        assert [r["payload"]["first"] for r in track.rows] == list(series.values[::7][:12])
+
+    def test_outcome_count_must_match(self):
+        with pytest.raises(ValueError, match="2 outcomes for 9 windows"):
+            rolling.rolling_apply(make_returns(100), rolling.RollingConfig(window=20, step=10),
+                                  lambda windows: [{}, {}])
+
+    @pytest.mark.parametrize("window, step", [(0, 1), (-3, 1), (10, 0)])
+    def test_non_positive_window_or_step(self, window, step):
+        with pytest.raises(ValueError, match="positive"):
+            rolling.RollingConfig(window=window, step=step).validate()
+        with pytest.raises(ValueError, match="positive"):
+            rolling.rolling_apply(make_returns(50), rolling.RollingConfig(window, step),
+                                  mean_estimator)
+
+    def test_batched_mfdfa_rows_match_per_window_rows(self):
+        """A window with a NaN and a window of constant returns become failure
+        rows with the per-window path's error text; the rest agree within the
+        MF-DFA tolerances."""
+        rng = np.random.default_rng(11)
+        times = np.arange(1, 621, dtype=np.int64) * 86400
+        values = rng.standard_normal(620)
+        values[0] = np.nan
+        values[300:600] = 0.5
+        series = ingest.ReturnSeries(1440, times, values)
+        cfg = rolling.RollingConfig(window=280, step=9)
+        mf = mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 128), fit_range=(20, 100))
+
+        def one(w):
+            result = mfdfa.analyze(w, mf)
+            return {k: result[k] for k in ("h2", "dh", "dalpha")}
+
+        batched = rolling.rolling_apply(series, cfg, lambda w: mfdfa.analyze_windows(w, mf))
+        single = rolling.rolling_apply(series, cfg, rolling.each_window(one))
+        failed = [r["error"] for r in batched.rows if r["status"] == "failed"]
+        assert failed[0].startswith("ValueError: returns contain 1 non-finite value(s)")
+        assert "ValueError: all segments have zero variance at s=16" in failed
+        for got, want in zip(batched.rows, single.rows, strict=True):
+            assert got.keys() == want.keys()
+            assert (got["status"], got.get("error")) == (want["status"], want.get("error"))
+            for key, tol in (("h2", 1e-13), ("dh", 1e-13), ("dalpha", 1e-12)):
+                if "payload" in got:
+                    assert abs(got["payload"][key] - want["payload"][key]) <= tol * max(
+                        1.0, abs(want["payload"][key]))
+
+
 class TestJoin:
     def test_full_overlap(self):
         series = make_returns(3188, seed=4)
         cfg = rolling.RollingConfig(window=548, step=30)
         t1 = rolling.rolling_apply(series, cfg, mean_estimator)
         t2 = rolling.rolling_apply(series, cfg,
-                                   lambda v: {"sd": float(np.std(v))})
+                                   rolling.each_window(lambda v: {"sd": float(np.std(v))}))
         joined = rolling.join_measures([t1, t2])
         assert len(joined.rows) == 89
         assert {"window_end", "mean", "sd"} <= set(joined.columns)
@@ -95,7 +159,7 @@ class TestJoin:
         )
         fine = rolling.rolling_apply(
             series, rolling.RollingConfig(window=548, step=1),
-            lambda v: {"sd": float(np.std(v))},
+            rolling.each_window(lambda v: {"sd": float(np.std(v))}),
         )
         joined = rolling.join_measures([coarse, fine])
         assert len(joined.rows) == len(coarse.rows)
@@ -138,6 +202,7 @@ class TestCsv:
         assert back.rows[0]["payload"]["mean"] == track.rows[0]["payload"]["mean"]
 
     def test_all_failed_track_roundtrip(self):
+        @rolling.each_window
         def failing(values):
             raise ValueError("degenerate window")
 
