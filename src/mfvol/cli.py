@@ -198,6 +198,10 @@ def _read_returns(path):
 
 def cmd_ingest(s, inputs, output):
     sidecar = _json_sidecar(output)
+    if s["delta_t"] < 1:
+        raise UsageError("--delta-t must be >= 1")
+    if s["outlier_mode"] != "none" and s["outlier_threshold"] <= 0:
+        raise UsageError("--outlier-threshold must be positive")
     with open(_resolve_input(inputs[0])) as fh:
         ticks = ingest.parse_ticks(fh)
     prices = ingest.resample_last(ticks, s["delta_t"])
@@ -225,6 +229,8 @@ def cmd_agg_gauss(s, inputs, output):
     if s["period_min"] is not None and s["period_max"] is not None:
         fit_range = (s["period_min"], s["period_max"])
     sidecar = _json_sidecar(output)
+    if any(dt < 1 for dt in s["delta_ts"]):
+        raise UsageError("--delta-ts must all be >= 1")
     with open(_resolve_input(inputs[0])) as fh:
         ticks = ingest.parse_ticks(fh)
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
@@ -284,8 +290,9 @@ def _rolling_estimator(s):
     if name == "tgarch":
         def run(values):
             fit = tgarch.fit(values, dist=s["dist"])
+            # a track holds numbers only; the normal law has shape None
             payload = {k: v for k, v in fit.params.as_dict().items()
-                       if k not in ("dist",)}
+                       if k != "dist" and v is not None}
             payload["loglik"] = fit.loglik
             payload["converged"] = float(fit.converged)
             if fit.std_errors:

@@ -6,8 +6,9 @@ generalized Hurst exponents h(q) by log-log fit -> multifractality degrees
 and the singularity spectrum.
 
 Segments are taken forward from the start and backward from the end
-(2 * floor(N/s) per scale).  q = 0 uses logarithmic averaging; negative
-moments exclude zero-variance segments (counts are recorded).
+(2 * floor(N/s) per scale).  q = 0 uses logarithmic averaging; segments of
+zero variance, up to a tolerance relative to the profile, are floored at it
+for q > 0 and dropped for q <= 0 (counts are recorded).
 
 One kernel, _fluctuations, computes F_q(s) for a stack of profiles: a
 single series is a stack of one, and analyze_windows runs every window of
@@ -25,7 +26,6 @@ import numpy as np
 from ._linfit import fit_line
 from ._validate import finite_array
 
-_LOG_FLOOR = 1e-30
 # Bound on the elements of one (q, segment) block of exponents (2 MiB): at
 # s = 16 on 2e5 returns the whole outer product is 24 MiB per sign of q.
 _BLOCK_ELEMS = 1 << 18
@@ -75,6 +75,7 @@ class MfdfaConfig:
             raise ValueError("degree_q must be positive")
         for q in (2.0, self.degree_q):
             _grid_index(np.asarray(self.q_grid, dtype=np.float64), q)
+        _check_uniform(np.asarray(self.q_grid, dtype=np.float64))
 
     def _validate_grids(self):
         """ValueError unless fluctuation can run on these grids."""
@@ -95,7 +96,7 @@ class FluctuationMatrix:
     q_grid: np.ndarray
     s_grid: np.ndarray
     values: np.ndarray     # (n_q, n_s), or (W, n_q, n_s) for a stack of windows
-    excluded: np.ndarray   # int, shaped as values: zero-variance segments dropped
+    excluded: np.ndarray   # int, (n_s,) or (W, n_s): zero-variance segments, dropped for q <= 0
 
 
 @dataclass
@@ -146,9 +147,9 @@ def _segment_variances(profiles, s, basis):
     fwd = y[..., : ns * s].reshape(*lead, ns, s)
     bwd = y[..., n - ns * s :].reshape(*lead, ns, s)
     segs = np.concatenate([fwd, bwd], axis=-2)
-    # One product per profile, shaped as for a profile alone: the round-off
-    # of a zero-variance segment depends on where BLAS finds its row, and
-    # positive moments keep that round-off.
+    # One product per profile, shaped as for a profile alone, so a window's
+    # variances are bit-for-bit those of the window alone: BLAS round-off
+    # depends on where it meets a row.
     coeffs = segs @ basis
     # Residuals computed explicitly (not via the Pythagorean identity) so
     # that exactly-fitted segments come out at round-off level, not at the
@@ -157,8 +158,8 @@ def _segment_variances(profiles, s, basis):
     return np.einsum("...ij,...ij->...i", resid, resid) / s
 
 
-def _log_mean_moments(half_q, logs, top):
-    """ln mean_j exp(half_q[i] * logs[w, j]) for every row w and moment i.
+def _log_sum_moments(half_q, logs, top):
+    """ln sum_j exp(half_q[i] * logs[w, j]) for every row w and moment i.
 
     ``top[w]`` is the element of ``logs[w]`` that maximises every exponent
     (its max for positive q, its min for negative q), so the shift
@@ -173,22 +174,25 @@ def _log_mean_moments(half_q, logs, top):
         block -= shift[:, lo:lo + rows, None]
         np.exp(block, out=block)
         log_sum[:, lo:lo + rows] = np.log(block.sum(axis=2))
-    return log_sum + shift - math.log(logs.shape[1])
+    return log_sum + shift
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # NaN where a row keeps no segment
 def _fluctuations(profiles, config: MfdfaConfig):
     """F_q(s) of every row of a (W, n) stack of profiles, all rows at once.
 
-    Each row keeps its own zero-variance tolerance (from its own
-    max |profile|), its own exclusions and its own log-sum-exp shifts, and
-    comes out as it would alone.  Rows must be finite, with max |profile|
-    below 1e150.  Returns F as a (W, n_q, n_s) array and the zero-variance
-    segments excluded per row and scale, (W, n_s).  A row that keeps no
-    segment at some scale gets F = 1 there; its caller fails it.
+    A segment has zero variance when its variance is at most its row's
+    zero_tol, 1e-26 * max |profile|^2, so F_q(s) of c * profile is c times
+    that of the profile: positive moments floor it at zero_tol, negative
+    moments and the q = 0 log-average drop it.  Each row comes out as it
+    would alone.  Rows must be finite, with max |profile| below 1e150.
+    Returns F, (W, n_q, n_s), and the zero-variance segments per row and
+    scale, (W, n_s).  A row that keeps no segment at some scale gets F = NaN
+    there; its caller fails it.
     """
     s_grid = np.asarray(config.s_grid, dtype=int)
     q_grid = np.asarray(config.q_grid, dtype=np.float64)
-    zero_tol = np.max(np.abs(profiles), axis=1) ** 2 * 1e-26
+    zero_tol = np.max(np.abs(profiles), axis=1)[:, None] ** 2 * 1e-26
     values = np.empty((len(profiles), len(q_grid), len(s_grid)))
     excluded = np.empty((len(profiles), len(s_grid)), dtype=int)
     pos, neg, zero = q_grid > 0, q_grid < 0, q_grid == 0
@@ -196,29 +200,22 @@ def _fluctuations(profiles, config: MfdfaConfig):
 
     for js, s in enumerate(s_grid):
         fv = _segment_variances(profiles, int(s), _segment_basis(int(s), config.detrend_order))
-        kept = fv > zero_tol[:, None]
-        n_kept = np.count_nonzero(kept, axis=1)
-        excluded[:, js] = fv.shape[1] - n_kept
-
-        # positive moments tolerate zero variances (floored in logs)
-        log_all = np.log(np.maximum(fv, _LOG_FLOOR))
+        dropped = fv <= zero_tol
+        excluded[:, js] = np.count_nonzero(dropped, axis=1)
+        n_kept = fv.shape[1] - excluded[:, js]
+        log_fv = np.log(np.maximum(fv, zero_tol))
         values[:, pos, js] = np.exp(
-            _log_mean_moments(half_pos, log_all, log_all.max(axis=1)) / q_grid[pos])
-        # negative ones and the q = 0 log-average use the kept segments only,
-        # the rows grouped by how many they keep into dense matrices
-        f_neg, f_zero = np.ones((len(fv), len(half_neg))), np.ones(len(fv))
-        for k in np.unique(n_kept[n_kept > 0]):
-            rows = np.flatnonzero(n_kept == k)
-            if k == fv.shape[1]:
-                log_kept = log_all[rows]
-            else:
-                log_kept = np.log(fv[rows][kept[rows]]).reshape(len(rows), k)
-            f_neg[rows] = np.exp(
-                _log_mean_moments(half_neg, log_kept, log_kept.min(axis=1)) / q_grid[neg])
-            # libm's exp, which can differ from np.exp in the last bit
-            f_zero[rows] = [math.exp(0.5 * m) for m in log_kept.mean(axis=1)]
-        values[:, neg, js] = f_neg
-        values[:, zero, js] = f_zero[:, None]
+            (_log_sum_moments(half_pos, log_fv, log_fv.max(axis=1))
+             - math.log(fv.shape[1])) / q_grid[pos])
+        # ln F^2 = +inf makes a dropped segment's term exactly 0
+        log_neg = np.where(dropped, np.inf, log_fv)
+        # libm's log and exp, which can differ from NumPy's in the last bit
+        log_n = np.array([math.log(k) if k else -math.inf for k in n_kept])
+        values[:, neg, js] = np.exp(
+            (_log_sum_moments(half_neg, log_neg, log_neg.min(axis=1))
+             - log_n[:, None]) / q_grid[neg])
+        mean_log = np.where(dropped, 0.0, log_fv).sum(axis=1) / n_kept
+        values[:, zero, js] = np.array([math.exp(0.5 * m) for m in mean_log])[:, None]
 
     return values, excluded
 
@@ -243,13 +240,7 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
     if empty.size:
         raise ValueError(f"all segments have zero variance at s={int(s_grid[empty[0]])}")
     return FluctuationMatrix(q_grid=q_grid, s_grid=s_grid, values=values[0],
-                             excluded=_excluded_by_q(q_grid, excluded[0]))
-
-
-def _excluded_by_q(q_grid, excluded):
-    """Per-scale exclusion counts (..., n_s) as the (..., n_q, n_s) table:
-    zero-variance segments are dropped for q <= 0 only."""
-    return np.where(q_grid[:, None] <= 0, excluded[..., None, :], 0)
+                             excluded=excluded[0])
 
 
 def generalized_hurst(fmat: FluctuationMatrix, fit_range=None) -> HurstCurve:
@@ -284,6 +275,15 @@ def multifractality_degree(curve: HurstCurve, q: float) -> float:
                  - curve.h[_grid_index(curve.q_grid, q)])
 
 
+def _check_uniform(q):
+    """ValueError unless the q grid takes h'(q)'s central differences."""
+    if len(q) < 3:
+        raise ValueError("need at least 3 grid points")
+    dq = np.diff(q)
+    if np.max(np.abs(dq - dq[0])) > 1e-9:
+        raise ValueError("q grid must be uniform")
+
+
 def singularity_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     """alpha(q) = h + q h'(q), f(alpha) = q (alpha - h) + 1.
 
@@ -291,11 +291,7 @@ def singularity_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     ends), along the last axis of ``curve.h``; f is exactly 1 at q = 0.
     """
     q = np.asarray(curve.q_grid, dtype=np.float64)
-    if len(q) < 3:
-        raise ValueError("need at least 3 grid points")
-    dq = np.diff(q)
-    if np.max(np.abs(dq - dq[0])) > 1e-9:
-        raise ValueError("q grid must be uniform")
+    _check_uniform(q)
     hprime = np.gradient(curve.h, q, axis=-1, edge_order=1)
     alpha = curve.h + q * hprime
     f = q * (alpha - curve.h) + 1.0
@@ -385,8 +381,8 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
         values = np.full((len(r), len(q_grid), len(s_grid)), np.nan)
         values[:, read], excluded = _fluctuations(prof, moments)
         failed = np.any(excluded == segments, axis=1)
-        curve = generalized_hurst(FluctuationMatrix(
-            q_grid, s_grid, values, _excluded_by_q(q_grid, excluded)), cfg.fit_range)
+        curve = generalized_hurst(FluctuationMatrix(q_grid, s_grid, values, excluded),
+                                  cfg.fit_range)
         h, alpha = curve.h, singularity_spectrum(curve).alpha
         h2 = h[:, i2]
         dh = h[:, i_neg] - h[:, i_pos]

@@ -180,6 +180,22 @@ class TestRollingAndJoin:
         joined = out.read_text().splitlines()
         assert len(joined) == 90
 
+    def test_normal_law_tgarch_track_joins(self, tmp_path):
+        # the normal law has no shape parameter: no cell may read None
+        series = tmp_path / "s.csv"
+        run(["simulate", "--model", "tgarch", "--dist", "normal", "--n", "460",
+             "--seed", "2", "-o", str(series)])
+        tracks = [tmp_path / "garch.csv", tmp_path / "stats.csv"]
+        for track, estimator in zip(tracks, ("tgarch", "stats")):
+            assert run(["rolling", "--input", str(series), "--estimator", estimator,
+                        "--dist", "normal", "--window", "400", "--step", "30",
+                        "-o", str(track)]) == 0
+        assert "None" not in tracks[0].read_text()
+        out = tmp_path / "joined.csv"
+        assert run(["join", "--inputs", *map(str, tracks), "-o", str(out)]) == 0
+        assert "None" not in out.read_text()
+        assert len(out.read_text().splitlines()) > 1
+
 
 class TestErrorHandling:
     def test_unknown_flag_usage_error(self, tmp_path):
@@ -285,6 +301,9 @@ class TestErrorHandling:
         ["mfdfa", "--detrend-order", "-1"],
         ["rolling", "--estimator", "mfdfa", "--detrend-order", "-1"],
         ["rolling", "--estimator", "mfdfa", "--window", "100"],
+        ["ingest", "--delta-t", "0"],
+        ["ingest", "--outlier-threshold", "0"],
+        ["agg-gauss", "--delta-ts", "0,60"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_bad_settings_usage_error(self, tmp_path, argv):
         series = tmp_path / "r.csv"

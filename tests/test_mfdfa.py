@@ -101,7 +101,7 @@ class TestGeneralizedHurst:
         q = mfdfa.default_q_grid()
         s = mfdfa.default_s_grid()
         values = np.tile(s.astype(float) ** h, (len(q), 1))
-        return mfdfa.FluctuationMatrix(q, s, values, np.zeros_like(values, dtype=int))
+        return mfdfa.FluctuationMatrix(q, s, values, np.zeros(len(s), dtype=int))
 
     def test_exact_power_law(self):
         curve = mfdfa.generalized_hurst(self.make_power_law_matrix(0.7), (20, 100))
@@ -205,6 +205,8 @@ class TestConfigValidation:
         ({"degree_q": -4.0}, "positive"),
         ({"q_grid": np.array([-1.0, 0.0, 1.0])}, "not on the moment grid"),
         ({"s_grid": np.array([16, 64, 32, 128])}, "increasing"),
+        ({"q_grid": np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])}, "uniform"),
+        ({"q_grid": np.array([-2.0, 2.0]), "degree_q": 2.0}, "at least 3 grid points"),
     ])
     def test_settings_analyze_cannot_run(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -233,16 +235,19 @@ def test_csv_exports():
 
 def reference_fluctuation(prof, cfg):
     """F_q(s) by a loop over (q, s): max-shifted exponentials summed exactly
-    with math.fsum, on the same segment variances and exclusion rule."""
+    with math.fsum, on the same segment variances and zero-variance rule
+    (floored at the tolerance for q > 0, dropped for q <= 0); returns F and
+    the zero-variance segments per scale."""
     y = np.asarray(prof, dtype=np.float64)
     zero_tol = float(np.max(np.abs(y))) ** 2 * 1e-26
     values = np.empty((len(cfg.q_grid), len(cfg.s_grid)))
-    excluded = np.zeros(values.shape, dtype=int)
+    excluded = np.empty(len(cfg.s_grid), dtype=int)
     for js, s in enumerate(cfg.s_grid):
         s = int(s)
         fv = mfdfa._segment_variances(y, s, mfdfa._segment_basis(s, cfg.detrend_order))
-        every = [math.log(max(v, 1e-30)) for v in fv]
+        every = [math.log(max(v, zero_tol)) for v in fv]
         kept = [math.log(v) for v in fv if v > zero_tol]
+        excluded[js] = len(fv) - len(kept)
         for jq, q in enumerate(cfg.q_grid):
             q = float(q)
             if q == 0.0:
@@ -253,8 +258,6 @@ def reference_fluctuation(prof, cfg):
                 total = math.fsum(math.exp(0.5 * q * v - top) for v in logs)
                 values[jq, js] = math.exp(
                     (math.log(total) + top - math.log(len(logs))) / q)
-            if q <= 0.0:
-                excluded[jq, js] = len(fv) - len(kept)
     return values, excluded
 
 
@@ -291,9 +294,28 @@ def test_fluctuation_matches_scalar_reference(make):
 
 
 def test_zero_variance_segments_dropped_for_q_at_most_zero():
-    fmat = mfdfa.fluctuation(zero_variance_profile(), mfdfa.MfdfaConfig())
-    assert np.all(fmat.excluded[fmat.q_grid > 0] == 0)
-    assert np.all(fmat.excluded[fmat.q_grid <= 0] > 0)
+    prof = zero_variance_profile()
+    cfg = mfdfa.MfdfaConfig()
+    fmat = mfdfa.fluctuation(prof, cfg)
+    assert fmat.excluded.shape == fmat.s_grid.shape and np.all(fmat.excluded > 0)
+    # each moment at the smallest scale, by the definition on its own
+    fv = mfdfa._segment_variances(prof, 16, mfdfa._segment_basis(16, cfg.detrend_order))
+    zero_tol = np.max(np.abs(prof)) ** 2 * 1e-26
+    kept = fv[fv > zero_tol]
+    assert len(fv) - len(kept) == fmat.excluded[0]
+    for q, want in ((2.0, np.mean(np.maximum(fv, zero_tol))),
+                    (-2.0, np.mean(kept ** -1.0) ** -1.0),
+                    (0.0, np.exp(np.mean(np.log(kept))))):
+        assert_rel(fmat.values[mfdfa._grid_index(fmat.q_grid, q), 0] ** 2, want, 1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e-16, 1e-2, 1e2, 1e100])
+def test_analyze_is_scale_invariant(scale):
+    # F_q(s) of c * r is c * F_q(s) of r, so h(q) and the spectrum do not move
+    r = np.random.default_rng(2000).standard_normal(2000)
+    want, got = mfdfa.analyze(r), mfdfa.analyze(scale * r)
+    for key in ("h2", "dh", "dalpha"):
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(want[key])), key
 
 
 def plain_line_fit(x, y):
@@ -365,11 +387,11 @@ def assert_kernel_matches_fluctuation(windows, cfg):
     for k, w in enumerate(windows):
         fmat = mfdfa.fluctuation(mfdfa.profile(w), cfg)
         assert_rel(values[k], fmat.values, 1e-13)
-        assert np.array_equal(mfdfa._excluded_by_q(fmat.q_grid, excluded[k]), fmat.excluded)
+        assert np.array_equal(excluded[k], fmat.excluded)
     for k in (0, len(windows) // 2, len(windows) - 1):
         want, want_excluded = reference_fluctuation(profiles[k], cfg)
         assert_rel(values[k], want, 1e-13)
-        assert np.array_equal(mfdfa._excluded_by_q(cfg.q_grid, excluded[k]), want_excluded)
+        assert np.array_equal(excluded[k], want_excluded)
     return excluded
 
 
@@ -433,7 +455,9 @@ def test_windows_analyze_rejects_as_analyze_does():
     bad[0, 10] = np.nan
     bad[1] *= 1e200  # finite, but the profile's squares overflow
     for cfg in (mfdfa.MfdfaConfig(), mfdfa.MfdfaConfig(degree_q=3.3),
-                mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 300), fit_range=(20, 100))):
+                mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 300), fit_range=(20, 100)),
+                mfdfa.MfdfaConfig(q_grid=np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])),
+                mfdfa.MfdfaConfig(q_grid=np.array([-2.0, 2.0]), degree_q=2.0)):
         batch = mfdfa.analyze_windows(bad, cfg)
         assert all(isinstance(o, ValueError) for o in batch[:2])
         assert_same_outcomes(batch, bad, cfg)
