@@ -174,10 +174,15 @@ def _load_config(path):
     return config
 
 
+_WRITE_CHARS = 1 << 20
+
+
 def _write(path, text):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        # in slices, so that the encoded copy of the text is one slice long
+        for start in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[start:start + _WRITE_CHARS])
 
 
 def _write_manifest(args, settings, seeds):
@@ -192,20 +197,18 @@ def _write_manifest(args, settings, seeds):
 
 
 def _read_returns(path):
-    with open(_resolve_input(path)) as fh:
-        return ingest.read_returns_csv(fh)
+    return ingest.read_returns_csv(_resolve_input(path))
 
 
 def cmd_ingest(s, inputs, output):
     sidecar = _json_sidecar(output)
     if s["delta_t"] < 1:
         raise UsageError("--delta-t must be >= 1")
-    if s["outlier_mode"] != "none" and s["outlier_threshold"] <= 0:
+    if s["outlier_mode"] != "none" and not s["outlier_threshold"] > 0:
         raise UsageError("--outlier-threshold must be positive")
-    with open(_resolve_input(inputs[0])) as fh:
-        ticks = ingest.parse_ticks(fh)
-    prices = ingest.resample_last(ticks, s["delta_t"])
-    returns = ingest.log_returns(prices)
+    # no name keeps the ticks or the bars, so they are freed before the table is built
+    returns = ingest.log_returns(ingest.resample_last(
+        ingest.parse_ticks(_resolve_input(inputs[0])), s["delta_t"]))
     if s["outlier_mode"] != "none":
         returns = ingest.filter_outliers(returns, s["outlier_threshold"], s["outlier_mode"])
     _write(output, ingest.returns_to_csv(returns))
@@ -219,9 +222,8 @@ def cmd_stats(s, inputs, output):
     doc = {"descriptive": desc.as_dict(), "r_bar": vol.r_bar, "s0": s["s0"]}
     _write(output, json.dumps(doc, indent=2))
     if s["volatility_output"]:
-        lines = ["t,s"]
-        lines += [f"{i},{format(v, '.17g')}" for i, v in enumerate(vol.values)]
-        _write(s["volatility_output"], "\n".join(lines) + "\n")
+        _write(s["volatility_output"], ingest.csv_table(
+            "t,s", "%d,%.17g", [np.arange(len(vol.values)), vol.values]))
 
 
 def cmd_agg_gauss(s, inputs, output):
@@ -229,10 +231,11 @@ def cmd_agg_gauss(s, inputs, output):
     if s["period_min"] is not None and s["period_max"] is not None:
         fit_range = (s["period_min"], s["period_max"])
     sidecar = _json_sidecar(output)
+    if not s["delta_ts"]:
+        raise UsageError("--delta-ts must list at least one period")
     if any(dt < 1 for dt in s["delta_ts"]):
         raise UsageError("--delta-ts must all be >= 1")
-    with open(_resolve_input(inputs[0])) as fh:
-        ticks = ingest.parse_ticks(fh)
+    ticks = ingest.parse_ticks(_resolve_input(inputs[0]))
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
                                       min_nobs=s["min_nobs"])
     _write(output, stats.scan_to_csv(scan))
@@ -360,13 +363,21 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(subcommand=None):
+    """The mfvol argument parser.
+
+    Given a ``subcommand`` name, only that subcommand's arguments are added:
+    every subcommand is still listed, but no other can parse its arguments.
+    """
     parser = argparse.ArgumentParser(prog="mfvol", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parsers = {}
     for name, (func, text, inputs) in COMMANDS.items():
-        p = parsers[name] = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text)
+        if subcommand not in (None, name):
+            continue
+        parsers[name] = p
         p.add_argument("--config", help="JSON object of settings keyed by name "
                                         "(flags take precedence)")
         p.add_argument("--output", "-o", required=True)
@@ -379,13 +390,18 @@ def build_parser():
         p.set_defaults(func=func)
     for s in SETTINGS:
         for name in s.subcommands:
-            parsers[name].add_argument(s.flag, type=s.type, choices=s.choices,
-                                       help=s.help or f"default: {s.default}")
+            if name in parsers:
+                parsers[name].add_argument(s.flag, type=s.type, choices=s.choices,
+                                           help=s.help or f"default: {s.default}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the first argument that is not an option as the
+    # subcommand; mfvol's own options take no value
+    first = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(first if first in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         settings = resolve(args, _load_config(args.config))

@@ -8,8 +8,10 @@ bar grid and returns are percent log differences.
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +70,9 @@ class ReturnSeries:
 
 
 def _read_text(source) -> str:
+    if isinstance(source, os.PathLike):
+        with open(source, encoding="utf-8") as fh:  # universal newlines
+            return fh.read()
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if isinstance(source, str):
@@ -75,7 +80,7 @@ def _read_text(source) -> str:
     if hasattr(source, "read"):
         data = source.read()
         return data.decode("utf-8") if isinstance(data, bytes) else data
-    raise TypeError("source must be str, bytes, or a file-like object")
+    raise TypeError("source must be a path, str, bytes, or a file-like object")
 
 
 _TICK_ROW = np.dtype([("t", np.int64), ("p", np.float64), ("a", np.float64)])
@@ -83,25 +88,63 @@ _RETURN_ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 _INT64_RANGE = range(-2**63, 2**63)  # the timestamps np.loadtxt reads
 # Line breaks of str.splitlines that np.loadtxt reads as field characters.
 _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CHUNK_CHARS = 1 << 18  # characters per read of a file's line-break check
+_COMPRESSED = (".gz", ".bz2", ".xz")
 
 
-def _load_rows(text, dtype, **kwargs):
-    """All rows of ``text`` from one np.loadtxt call, or None when it fails.
+def _text_or_path(source):
+    """``source`` itself when it is a path np.loadtxt reads as it is, its text
+    otherwise (np.loadtxt decompresses a path by its suffix)."""
+    if isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED:
+        return source
+    return _read_text(source)
 
-    None sends the caller to its line loop, which is the reference: it skips
-    whitespace-only lines, reads ``1_000``, and names the line of an error.
-    Text whose line breaks the two could split differently (a lone CR, a
-    form feed, ...) goes to the loop unread.
+
+def _chunks(source):
+    """The text of ``source``: a str whole, a path in reads of _CHUNK_CHARS
+    with universal newlines, as np.loadtxt reads the path."""
+    if isinstance(source, str):
+        yield source
+        return
+    with open(source, encoding="utf-8") as fh:
+        while chunk := fh.read(_CHUNK_CHARS):
+            yield chunk
+
+
+def _header_rows(source, header):
+    """Lines np.loadtxt skips: 1 when the first starts with the word ``header``
+    (in any case), else 0.  None when np.loadtxt and the line loop could split
+    the text into different lines (a lone CR, a form feed, ...)."""
+    skip = 0
+    for k, chunk in enumerate(_chunks(source)):
+        if any(c in chunk for c in _OTHER_BREAKS) or (
+            "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")
+        ):
+            return None
+        if k == 0 and header is not None:
+            skip = int(chunk[:len(header)].lower() == header)
+    return skip
+
+
+def _load_rows(source, dtype, header=None, **kwargs):
+    """All rows of ``source`` from one np.loadtxt call, or None when it fails.
+
+    ``source`` is text, or a path that np.loadtxt reads in place, in chunks,
+    so that no copy of the whole file is made.  None sends the caller to its
+    line loop, which is the reference: it skips whitespace-only lines, reads
+    ``1_000``, and names the line of an error.  Text whose line breaks the
+    two could split differently goes to the loop unread, and so does a file
+    that is not UTF-8: the loop reads it again and reports the error.
     """
-    if any(c in text for c in _OTHER_BREAKS) or (
-        "\r" in text and text.count("\r") != text.count("\r\n")
-    ):
-        return None
     try:
+        skip = _header_rows(source, header)
+        if skip is None:
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
-            return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1, **kwargs)
+            return np.loadtxt(io.StringIO(source) if isinstance(source, str) else source,
+                              dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              skiprows=skip, encoding="utf-8", **kwargs)
     except (ValueError, Warning):
         return None
 
@@ -123,16 +166,17 @@ def parse_ticks(source) -> TickSeries:
     Empty lines are skipped.  Records are returned in timestamp order; a
     stable sort is applied when the input is out of order (recorded in
     ``input_was_sorted``) so that "last trade wins" semantics survive.
-    The text is read as one array; input that fails that read or its checks
+    ``source`` is a path, read in place, or text, bytes or a file object.
+    The input is read as one array; input that fails that read or its checks
     is parsed line by line, which raises naming the offending line.
     """
-    text = _read_text(source)
-    rows = _load_rows(text, _TICK_ROW)
+    source = _text_or_path(source)
+    rows = _load_rows(source, _TICK_ROW)
     if rows is not None:
         t, p, a = rows["t"], rows["p"], rows["a"]
         if np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all():
             return _tick_series(t, p, a)
-    return _parse_tick_lines(text)
+    return _parse_tick_lines(_read_text(source))
 
 
 def _parse_tick_lines(text) -> TickSeries:
@@ -214,7 +258,7 @@ def filter_outliers(
     ``positive-only`` removes r > threshold (the literal published rule);
     ``symmetric`` removes |r| > threshold.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     if mode == "positive-only":
         drop = returns.values > threshold
@@ -235,11 +279,29 @@ def filter_outliers(
     )
 
 
+_ROWS_PER_CALL = 1 << 14
+
+
+def csv_table(header, row_format, columns) -> str:
+    """CSV text: the ``header`` line, then ``row_format % row`` for each row.
+
+    ``columns`` are equal-length arrays or sequences, one per field of
+    ``row_format``.  Each chunk of _ROWS_PER_CALL rows is formatted by one
+    ``%`` call, and ``%.17g`` writes what ``format(v, ".17g")`` writes.
+    """
+    line, width, n = row_format + "\n", len(columns), len(columns[0])
+    out = [header + "\n"]
+    for start in range(0, n, _ROWS_PER_CALL):
+        rows = min(_ROWS_PER_CALL, n - start)
+        cells = [None] * (rows * width)
+        for j, column in enumerate(columns):
+            cells[j::width] = np.asarray(column[start:start + rows]).tolist()
+        out.append(line * rows % tuple(cells))
+    return "".join(out)
+
+
 def returns_to_csv(returns: ReturnSeries) -> str:
-    out = ["timestamp,value,flag"]
-    for t, v in zip(returns.times.tolist(), returns.values.tolist()):
-        out.append(f"{t},{v:.17g},ok")
-    return "\n".join(out) + "\n"
+    return csv_table("timestamp,value,flag", "%d,%.17g,ok", [returns.times, returns.values])
 
 
 def returns_to_json(returns: ReturnSeries) -> str:
@@ -258,16 +320,16 @@ def read_returns_csv(source) -> ReturnSeries:
     """Read a returns CSV produced by `returns_to_csv` (flag column optional).
 
     A malformed row or a non-finite value raises ValueError naming its
-    1-based line number.  As in `parse_ticks`, the text is read as one array
-    and only input that fails that read or its check is read line by line.
+    1-based line number.  As in `parse_ticks`, ``source`` may be a path, the
+    input is read as one array, and only input that fails that read or its
+    check is read line by line.
     """
-    text = _read_text(source)
+    source = _text_or_path(source)
     # a header anywhere but on line 1 fails the array read and goes to the loop
-    header = text[:9].lower() == "timestamp"
-    rows = _load_rows(text, _RETURN_ROW, usecols=(0, 1), skiprows=int(header))
+    rows = _load_rows(source, _RETURN_ROW, header="timestamp", usecols=(0, 1))
     if rows is not None and np.isfinite(rows["v"]).all():
         return _return_series(rows["t"], rows["v"])
-    return _read_return_lines(text)
+    return _read_return_lines(_read_text(source))
 
 
 def _read_return_lines(text) -> ReturnSeries:

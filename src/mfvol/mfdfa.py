@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ingest
 from ._linfit import fit_line
 from ._validate import finite_array
 
@@ -393,27 +394,16 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
     return out
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def fluct_to_csv(fmat: FluctuationMatrix) -> str:
-    out = ["q,s,F"]
-    for jq, q in enumerate(fmat.q_grid):
-        for js, s in enumerate(fmat.s_grid):
-            out.append(f"{_fmt(q)},{int(s)},{_fmt(fmat.values[jq, js])}")
-    return "\n".join(out) + "\n"
+    n_q, n_s = len(fmat.q_grid), len(fmat.s_grid)
+    return ingest.csv_table("q,s,F", "%.17g,%d,%.17g", [
+        np.repeat(fmat.q_grid, n_s), np.tile(fmat.s_grid, n_q), np.ravel(fmat.values)])
 
 
 def hurst_to_csv(curve: HurstCurve) -> str:
-    out = ["q,h,se"]
-    for q, h, se in zip(curve.q_grid, curve.h, curve.slope_se):
-        out.append(f"{_fmt(q)},{_fmt(h)},{_fmt(se)}")
-    return "\n".join(out) + "\n"
+    return ingest.csv_table("q,h,se", "%.17g,%.17g,%.17g",
+                            [curve.q_grid, curve.h, curve.slope_se])
 
 
 def spectrum_to_csv(spec: SingularitySpectrum) -> str:
-    out = ["q,alpha,f"]
-    for q, a, f in zip(spec.q_grid, spec.alpha, spec.f):
-        out.append(f"{_fmt(q)},{_fmt(a)},{_fmt(f)}")
-    return "\n".join(out) + "\n"
+    return ingest.csv_table("q,alpha,f", "%.17g,%.17g,%.17g", [spec.q_grid, spec.alpha, spec.f])

@@ -233,9 +233,5 @@ def agg_gaussianity_scan(
 
 
 def scan_to_csv(scan: AggGaussScan) -> str:
-    out = ["delta_t,kurtosis,se,nobs"]
-    for r in scan.rows:
-        out.append(
-            f"{r['delta_t']},{r['kurtosis']:.17g},{r['se_kurtosis']:.17g},{r['nobs']}"
-        )
-    return "\n".join(out) + "\n"
+    return ingest.csv_table("delta_t,kurtosis,se,nobs", "%d,%.17g,%.17g,%d", [
+        [r[key] for r in scan.rows] for key in ("delta_t", "kurtosis", "se_kurtosis", "nobs")])

@@ -66,6 +66,17 @@ class TestIngest:
         manifest = json.loads((tmp_path / "returns.csv.manifest.json").read_text())
         assert manifest["config"]["delta_t"] == 1440
 
+    def test_line_endings_give_the_same_returns(self, tmp_path, ticks_3day_path):
+        lf = ticks_3day_path.read_bytes()
+        outputs = []
+        for name, eol in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            ticks = tmp_path / f"{name}.txt"
+            ticks.write_bytes(lf.replace(b"\n", eol))
+            out = tmp_path / f"{name}.csv"
+            assert run(["ingest", "--input", str(ticks), "--delta-t", "60", "-o", str(out)]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"{name}.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_data_dir_resolution(self, tmp_path, ticks_3day_path, monkeypatch):
         monkeypatch.setenv("MFVOL_DATA_DIR", str(ticks_3day_path.parent))
         out = tmp_path / "r.csv"
@@ -197,6 +208,19 @@ class TestRollingAndJoin:
         assert len(out.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.COMMANDS)],
+                         ids=lambda argv: argv[0])
+def test_help_is_the_full_parsers(argv, capsys):
+    """main builds only the named subcommand's arguments; its help is unchanged."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert shown == capsys.readouterr().out
+
+
 class TestErrorHandling:
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -303,11 +327,18 @@ class TestErrorHandling:
         ["rolling", "--estimator", "mfdfa", "--window", "100"],
         ["ingest", "--delta-t", "0"],
         ["ingest", "--outlier-threshold", "0"],
+        ["ingest", "--outlier-threshold", "nan"],
         ["agg-gauss", "--delta-ts", "0,60"],
+        ["agg-gauss", "--config", '{"delta_ts":[]}'],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_bad_settings_usage_error(self, tmp_path, argv):
         series = tmp_path / "r.csv"
         run(["simulate", "--model", "gaussian", "--n", "600", "--seed", "4", "-o", str(series)])
+        if "--config" in argv:  # the JSON object that follows goes into a config file
+            k = argv.index("--config") + 1
+            config = tmp_path / "config.json"
+            config.write_text(argv[k])
+            argv = [*argv[:k], str(config), *argv[k + 1:]]
         out = tmp_path / "out.csv"
         # checked before any input is read: a missing input gives the same exit
         for path in (series, tmp_path / "missing.csv"):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,8 +163,9 @@ class TestFilterOutliers:
             assert out.removed_outliers == []
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            ingest.filter_outliers(self.returns, -1.0)
+        for threshold in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                ingest.filter_outliers(self.returns, threshold)
 
 
 class TestProperties:
@@ -252,16 +255,17 @@ _ODD_LINES = st.one_of(
     st.lists(st.one_of(_TIMES, _PRICES, _ODD_NUMERALS), min_size=2, max_size=4).map(",".join),
 )
 _EOL = st.sampled_from(["\n", "\r\n"])
+_FILE_EOL = st.sampled_from(["\n", "\r\n", "\r"])  # a text-mode read turns all to LF
 
 
-def _text(valid_row):
-    """Text of valid rows with up to two odd lines put in, CRLF or LF per line."""
+def _text(valid_row, eol=_EOL):
+    """Text of valid rows with up to two odd lines put in, each ended by ``eol``."""
     @st.composite
     def text(draw):
         lines = draw(st.lists(valid_row, max_size=12))
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
-        return "".join(line + draw(_EOL) for line in lines)
+        return "".join(line + draw(eol) for line in lines)
 
     return text()
 
@@ -296,6 +300,74 @@ class TestFastPathMatchesLineLoop:
         assert _outcome(ingest.parse_ticks, text) == _outcome(ingest._parse_tick_lines, text)
 
 
+class TestPathMatchesLineLoop:
+    """A path is read in place and answers exactly as the line loop run on the
+    file's text as a text-mode read gives it (every CR and CRLF made LF)."""
+
+    @pytest.fixture(scope="class")
+    def file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("path_route") / "input.csv"
+
+    @staticmethod
+    def outcomes(parse, loop, file, text, chunk_chars):
+        file.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            return _outcome(parse, file), _outcome(loop, file.read_text(encoding="utf-8"))
+
+    # 16 characters a read puts most files' line-break check across chunks
+    @given(_text(st.tuples(_TIMES, _PRICES, _AMOUNTS).map(",".join), _FILE_EOL),
+           st.sampled_from([16, ingest._CHUNK_CHARS]))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_parse_ticks(self, file, text, chunk_chars):
+        fast, loop = self.outcomes(ingest.parse_ticks, ingest._parse_tick_lines, file, text,
+                                   chunk_chars)
+        assert fast == loop
+
+    @given(_text(st.one_of(st.tuples(_TIMES, _RETURNS),
+                           st.tuples(_TIMES, _RETURNS, st.just("ok"))).map(",".join), _FILE_EOL),
+           st.sampled_from(["", "timestamp,value,flag\n", "Timestamp,value\r\n", "TIMESTAMP\r",
+                            "\n", "x,y\n"]),
+           st.sampled_from([16, ingest._CHUNK_CHARS]))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_read_returns_csv(self, file, body, header, chunk_chars):
+        fast, loop = self.outcomes(ingest.read_returns_csv, ingest._read_return_lines, file,
+                                   header + body, chunk_chars)
+        assert fast == loop
+
+    @pytest.mark.parametrize("text", ["1,2.0,1.0\x0c2,3.0,1.0\n", "1,2.0,1.0\u20282,3.0,1.0\n",
+                                      "60,1.5,ok\x0c120,2.5,ok\n", "60,1.5,x\u2028120,2.5\n",
+                                      "60,1.5\r\n" * 3 + "60,1.5,ok\x0b120,2.5,ok\n"])
+    def test_form_feed_and_line_separator(self, file, text):
+        # the line loops split lines at these; np.loadtxt reads them as field characters
+        for parse, loop in ((ingest.parse_ticks, ingest._parse_tick_lines),
+                            (ingest.read_returns_csv, ingest._read_return_lines)):
+            for chunk_chars in (16, ingest._CHUNK_CHARS):
+                fast, reference = self.outcomes(parse, loop, file, text, chunk_chars)
+                assert fast == reference
+
+    def test_text_file_with_a_compressed_suffix(self, tmp_path):
+        # np.loadtxt would decompress a path by its suffix; the file is read as text
+        path = tmp_path / "ticks.csv.gz"
+        path.write_text("1,2.0,1.0\n2,3.0,1.0\n")
+        assert list(ingest.parse_ticks(path).prices) == [2.0, 3.0]
+
+    def test_file_not_utf8(self, file):
+        file.write_bytes(b"1,2.0,1.0\n2,\xff,1.0\n")
+        with pytest.raises(UnicodeDecodeError):
+            ingest.parse_ticks(file)
+
+
+def _tick_file(path, n, seed):
+    """``n`` ticks at full precision, written to ``path``; their arrays."""
+    rng = np.random.default_rng(seed)
+    times = 1_400_000_000 + np.cumsum(rng.integers(0, 30, n))
+    prices = 500.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
+    amounts = rng.exponential(0.5, n)
+    path.write_text("".join(f"{t},{p!r},{a!r}\n" for t, p, a in
+                            zip(times.tolist(), prices.tolist(), amounts.tolist())))
+    return times, prices, amounts
+
+
 class TestValidInputSkipsLineLoop:
     @pytest.fixture
     def no_line_loop(self, monkeypatch):
@@ -306,25 +378,72 @@ class TestValidInputSkipsLineLoop:
         monkeypatch.setattr(ingest, "_read_return_lines", refuse)
 
     def test_tick_file(self, no_line_loop, tmp_path):
-        rng = np.random.default_rng(3)
-        n = 10_000
-        times = 1_400_000_000 + np.cumsum(rng.integers(0, 30, n))
-        prices = 500.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, n)))
-        amounts = rng.exponential(0.5, n)
         path = tmp_path / "ticks.csv"
-        path.write_text("".join(f"{t},{p!r},{a!r}\n" for t, p, a in
-                                zip(times.tolist(), prices.tolist(), amounts.tolist())))
+        times, prices, amounts = _tick_file(path, 10_000, seed=3)
         with open(path) as fh:
-            ticks = ingest.parse_ticks(fh)
-        assert np.array_equal(ticks.timestamps, times)
-        assert np.array_equal(ticks.prices, prices)
-        assert np.array_equal(ticks.amounts, amounts)
+            from_file = ingest.parse_ticks(fh)
+        for ticks in (from_file, ingest.parse_ticks(path)):
+            assert np.array_equal(ticks.timestamps, times)
+            assert np.array_equal(ticks.prices, prices)
+            assert np.array_equal(ticks.amounts, amounts)
 
-    def test_returns_csv(self, no_line_loop):
+    def test_returns_csv(self, no_line_loop, tmp_path):
         times = 300 * np.arange(1, 1001, dtype=np.int64)
         values = np.random.default_rng(4).standard_t(3, 1000)
         text = ingest.returns_to_csv(ingest.ReturnSeries(5, times, values))
-        back = ingest.read_returns_csv(text.encode())
-        assert back.delta_t_minutes == 5
-        assert np.array_equal(back.times, times)
-        assert np.array_equal(back.values, values)
+        path = tmp_path / "returns.csv"
+        path.write_text(text.replace("\n", "\r\n"), newline="")
+        for back in (ingest.read_returns_csv(text.encode()), ingest.read_returns_csv(path)):
+            assert back.delta_t_minutes == 5
+            assert np.array_equal(back.times, times)
+            assert np.array_equal(back.values, values)
+
+
+class TestPathReadMemory:
+    """A path is read in place: the peak is about the result arrays, where a
+    whole-text read holds the text and its io.StringIO copy (≈ 5x the file)."""
+
+    @staticmethod
+    def peak(read, path):
+        tracemalloc.start()
+        try:
+            return read(path), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_tick_file(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 45_000, seed=5)  # ≈ 2 MB
+        ticks, peak = self.peak(ingest.parse_ticks, path)
+        assert len(ticks) == 45_000
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_returns_file(self, tmp_path):
+        n = 60_000
+        values = np.random.default_rng(6).standard_t(3, n)
+        path = tmp_path / "returns.csv"  # ≈ 2 MB
+        path.write_text(ingest.returns_to_csv(
+            ingest.ReturnSeries(5, 300 * np.arange(1, n + 1, dtype=np.int64), values)))
+        returns, peak = self.peak(ingest.read_returns_csv, path)
+        assert np.array_equal(returns.values, values)
+        assert peak < 1.5 * path.stat().st_size
+
+
+class TestCsvTable:
+    """The chunked formatter writes what one format(v, ".17g") a cell writes."""
+
+    ODD = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7e308, -1.7e308, math.nan,
+           math.inf, -math.inf, 0.1, 1 / 3, 1e16, 123456789.0, -1.5]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_matches_per_row_format(self, extra):
+        n = ingest._ROWS_PER_CALL + extra
+        ints = np.arange(-3, n - 3, dtype=np.int64) * 10**12
+        floats = np.resize(np.array(self.ODD), n)
+        text = ingest.csv_table("t,a,b", "%d,%.17g,%.17g", [ints, floats, floats[::-1]])
+        rows = [f"{t},{format(a, '.17g')},{format(b, '.17g')}" for t, a, b in
+                zip(ints.tolist(), floats.tolist(), floats[::-1].tolist())]
+        assert text == "\n".join(["t,a,b", *rows]) + "\n"
+
+    def test_empty_table_is_its_header(self):
+        assert ingest.csv_table("q,h", "%.17g,%.17g", [np.array([]), []]) == "q,h\n"
