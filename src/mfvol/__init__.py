@@ -7,6 +7,6 @@ rolling (sliding-window tracks), cli (batch front end).
 
 from . import ingest, kernels, mfdfa, rolling, stats, synth, tgarch
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = ["ingest", "kernels", "mfdfa", "rolling", "stats", "synth", "tgarch", "__version__"]

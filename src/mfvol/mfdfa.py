@@ -27,9 +27,14 @@ from . import ingest
 from ._linfit import fit_line
 from ._validate import finite_array
 
-# Bound on the elements of one (q, segment) block of exponents (2 MiB): at
-# s = 16 on 2e5 returns the whole outer product is 24 MiB per sign of q.
+# Bound on the elements of analyze_windows' F_q(s) table per chunk of windows.
 _BLOCK_ELEMS = 1 << 18
+# Bounds that keep a long series' temporaries cache-sized: the elements of
+# one chunk of segment rows (256 KiB) and of one (q, segment) block of
+# exponents (512 KiB).  At s = 16 on 2e5 returns the segments fill 1.6 MB
+# and the whole outer product is 24 MiB per sign of q.
+_SEGMENT_ELEMS = 1 << 15
+_MOMENT_ELEMS = 1 << 16
 
 
 def default_q_grid():
@@ -141,37 +146,56 @@ def _segment_variances(profiles, s, basis):
     (s, k) matrix with orthonormal columns spanning the detrending
     polynomials on the segment abscissa.  Returns 2*floor(n/s) residual
     variances (mean squared residual per segment) per profile.
+
+    The forward then backward segment rows are taken in consecutive chunks
+    of _SEGMENT_ELEMS // s rows; a chunk that spans both halves joins its
+    two pieces, so when every row fits in one chunk it is the whole
+    concatenation.  The chunks depend on n and s only.
     """
     y = np.asarray(profiles, dtype=np.float64)
     n, lead = y.shape[-1], y.shape[:-1]
     ns = n // s
     fwd = y[..., : ns * s].reshape(*lead, ns, s)
     bwd = y[..., n - ns * s :].reshape(*lead, ns, s)
-    segs = np.concatenate([fwd, bwd], axis=-2)
-    # One product per profile, shaped as for a profile alone, so a window's
-    # variances are bit-for-bit those of the window alone: BLAS round-off
-    # depends on where it meets a row.
-    coeffs = segs @ basis
-    # Residuals computed explicitly (not via the Pythagorean identity) so
-    # that exactly-fitted segments come out at round-off level, not at the
-    # much larger cancellation error of total - fitted.
-    resid = segs - coeffs @ basis.T
-    return np.einsum("...ij,...ij->...i", resid, resid) / s
+    rows = max(1, _SEGMENT_ELEMS // s)
+    out = np.empty((*lead, 2 * ns))
+    for lo in range(0, 2 * ns, rows):
+        hi = min(lo + rows, 2 * ns)
+        parts = [p for p in (fwd[..., lo:hi, :], bwd[..., max(lo - ns, 0):max(hi - ns, 0), :])
+                 if p.shape[-2]]
+        segs = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+        # One product per profile, shaped as for a profile alone, so a
+        # window's variances are bit-for-bit those of the window alone: BLAS
+        # round-off depends on where it meets a row.
+        coeffs = segs @ basis
+        # Residuals computed explicitly (not via the Pythagorean identity) so
+        # that exactly-fitted segments come out at round-off level, not at the
+        # much larger cancellation error of total - fitted.
+        resid = segs - coeffs @ basis.T
+        out[..., lo:hi] = np.einsum("...ij,...ij->...i", resid, resid) / s
+    return out
 
 
-def _log_sum_moments(half_q, logs, top):
+def _moment_rows(cells, n_q):
+    """q rows per block of exponents over ``cells`` (window, segment) cells."""
+    return max(1, min(n_q, _MOMENT_ELEMS // cells))
+
+
+def _log_sum_moments(half_q, logs, top, buf):
     """ln sum_j exp(half_q[i] * logs[w, j]) for every row w and moment i.
 
     ``top[w]`` is the element of ``logs[w]`` that maximises every exponent
     (its max for positive q, its min for negative q), so the shift
     half_q * top leaves no exponent positive.  The (w, q, segment) exponents
-    are built in blocks of q rows of at most _BLOCK_ELEMS elements.
+    are built in blocks of _moment_rows q rows, in the flat buffer ``buf``.
     """
     shift = np.multiply.outer(top, half_q)
     log_sum = np.empty(shift.shape)
-    rows = max(1, _BLOCK_ELEMS // logs.size)
+    rows = _moment_rows(logs.size, len(half_q))
     for lo in range(0, len(half_q), rows):
-        block = half_q[lo:lo + rows, None] * logs[:, None, :]
+        hq = half_q[lo:lo + rows]
+        block = buf[: logs.size * len(hq)].reshape(len(logs), len(hq), logs.shape[1])
+        np.multiply(hq[:, None], logs[:, None, :], out=block)
         block -= shift[:, lo:lo + rows, None]
         np.exp(block, out=block)
         log_sum[:, lo:lo + rows] = np.log(block.sum(axis=2))
@@ -198,6 +222,10 @@ def _fluctuations(profiles, config: MfdfaConfig):
     excluded = np.empty((len(profiles), len(s_grid)), dtype=int)
     pos, neg, zero = q_grid > 0, q_grid < 0, q_grid == 0
     half_pos, half_neg = 0.5 * q_grid[pos], 0.5 * q_grid[neg]
+    # one exponent buffer for every scale and sign of q
+    n_half = max(len(half_pos), len(half_neg))
+    cells = len(profiles) * 2 * (profiles.shape[1] // s_grid)
+    buf = np.empty(max(c * _moment_rows(c, n_half) for c in cells))
 
     for js, s in enumerate(s_grid):
         fv = _segment_variances(profiles, int(s), _segment_basis(int(s), config.detrend_order))
@@ -206,14 +234,14 @@ def _fluctuations(profiles, config: MfdfaConfig):
         n_kept = fv.shape[1] - excluded[:, js]
         log_fv = np.log(np.maximum(fv, zero_tol))
         values[:, pos, js] = np.exp(
-            (_log_sum_moments(half_pos, log_fv, log_fv.max(axis=1))
+            (_log_sum_moments(half_pos, log_fv, log_fv.max(axis=1), buf)
              - math.log(fv.shape[1])) / q_grid[pos])
         # ln F^2 = +inf makes a dropped segment's term exactly 0
         log_neg = np.where(dropped, np.inf, log_fv)
         # libm's log and exp, which can differ from NumPy's in the last bit
         log_n = np.array([math.log(k) if k else -math.inf for k in n_kept])
         values[:, neg, js] = np.exp(
-            (_log_sum_moments(half_neg, log_neg, log_neg.min(axis=1))
+            (_log_sum_moments(half_neg, log_neg, log_neg.min(axis=1), buf)
              - log_n[:, None]) / q_grid[neg])
         mean_log = np.where(dropped, 0.0, log_fv).sum(axis=1) / n_kept
         values[:, zero, js] = np.array([math.exp(0.5 * m) for m in mean_log])[:, None]

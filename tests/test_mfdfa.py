@@ -1,5 +1,7 @@
 import ast
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +53,20 @@ class TestFluctuation:
             assert len(fv) == 2 * (1000 // s)
 
     def test_segment_variances_match_polyfit(self):
-        y = np.cumsum(np.random.default_rng(42).standard_normal(2000) * 2.0)
-        for s in (16, 50, 128):
-            got = mfdfa._segment_variances(y, s, mfdfa._segment_basis(s, 3))
+        # at n = 40,000 every scale takes several chunks of segment rows, one
+        # of them holding the last forward and the first backward segments
+        for n, order, s in itertools.product((2000, 40_000), (0, 1, 3), (16, 50, 128)):
+            y = np.cumsum(np.random.default_rng(42).standard_normal(n) * 2.0)
+            got = mfdfa._segment_variances(y, s, mfdfa._segment_basis(s, order))
             ns = len(y) // s
+            chunk = mfdfa._SEGMENT_ELEMS // s
+            if n > 2000:  # the second chunk straddles the halves, and a third follows
+                assert chunk < ns < 2 * chunk < 2 * ns
             starts = [v * s for v in range(ns)] + [len(y) - (ns - v) * s for v in range(ns)]
             x = np.arange(s, dtype=np.float64)
-            want = [np.mean((y[a:a + s] - np.polyval(np.polyfit(x, y[a:a + s], 3), x)) ** 2)
-                    for a in starts]
-            assert np.allclose(got, want, rtol=1e-8, atol=1e-12)
+            segs = np.array([y[a:a + s] for a in starts]).T
+            fitted = np.vander(x, order + 1) @ np.polyfit(x, segs, order)
+            assert_rel(got, np.mean((segs - fitted) ** 2, axis=0), 1e-12)
 
     def test_segment_basis_cached_read_only(self):
         basis = mfdfa._segment_basis(50, 3)
@@ -94,6 +101,25 @@ class TestFluctuation:
     def test_profile_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             mfdfa.fluctuation(np.arange(100, dtype=float), small_config())
+
+    def test_q_zero_alone(self):
+        # no positive or negative moment, so no block of exponents
+        prof = gaussian_window_profile()
+        full = mfdfa.fluctuation(prof, mfdfa.MfdfaConfig())
+        alone = mfdfa.fluctuation(prof, mfdfa.MfdfaConfig(q_grid=np.array([0.0])))
+        assert np.array_equal(alone.values[0], full.values[mfdfa._grid_index(full.q_grid, 0.0)])
+
+    def test_long_profile_temporaries_are_bounded(self):
+        # 5-minute-sized series: the temporaries stay below twice the profile
+        prof = np.cumsum(np.random.default_rng(3).standard_normal(200_000))
+        cfg = mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 4096, 20), fit_range=(16, 4096))
+        tracemalloc.start()
+        try:
+            mfdfa.fluctuation(prof, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * prof.nbytes, peak
 
 
 class TestGeneralizedHurst:
@@ -424,6 +450,21 @@ def test_windows_match_analyze_on_benchmark_like_series(seed):
     cfg = mfdfa.MfdfaConfig()
     assert_same_outcomes(mfdfa.analyze_windows(windows, cfg), windows, cfg)
     assert_kernel_matches_fluctuation(np.array(windows), cfg)
+
+
+def test_windows_match_analyze_on_chunked_lengths():
+    # windows long enough that their segment rows are taken in chunks: the
+    # chunks depend on the window length only, not on how many are stacked
+    windows = windows_of(np.random.default_rng(20_000).standard_normal(20_011), 20_000, 11)
+    cfg = mfdfa.MfdfaConfig(q_grid=np.arange(-25, 26) / 5.0)
+    assert 2 * (20_000 // 16) > mfdfa._SEGMENT_ELEMS // 16
+    batch = mfdfa.analyze_windows(windows, cfg)
+    assert_same_outcomes(batch, windows, cfg)
+    assert_kernel_matches_fluctuation(np.array(windows), cfg)
+    # and bit for bit
+    for got, w in zip(batch, windows):
+        want = mfdfa.analyze(w, cfg)
+        assert got == {key: want[key] for key in ("h2", "dh", "dalpha")}
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])
