@@ -165,7 +165,7 @@ def _load_config(path):
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"--config {path}: {exc}") from None
@@ -179,7 +179,7 @@ _WRITE_CHARS = 1 << 20
 
 def _write(path, text):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         # in slices, so that the encoded copy of the text is one slice long
         for start in range(0, len(text), _WRITE_CHARS):
             fh.write(text[start:start + _WRITE_CHARS])
@@ -208,7 +208,7 @@ def cmd_ingest(s, inputs, output):
         raise UsageError("--outlier-threshold must be positive")
     # no name keeps the ticks or the bars, so they are freed before the table is built
     returns = ingest.log_returns(ingest.resample_last(
-        ingest.parse_ticks(_resolve_input(inputs[0])), s["delta_t"]))
+        ingest.load_ticks(_resolve_input(inputs[0])), s["delta_t"]))
     if s["outlier_mode"] != "none":
         returns = ingest.filter_outliers(returns, s["outlier_threshold"], s["outlier_mode"])
     _write(output, ingest.returns_to_csv(returns))
@@ -227,15 +227,15 @@ def cmd_stats(s, inputs, output):
 
 
 def cmd_agg_gauss(s, inputs, output):
-    fit_range = None
-    if s["period_min"] is not None and s["period_max"] is not None:
-        fit_range = (s["period_min"], s["period_max"])
+    fit_range = (s["period_min"], s["period_max"])
     sidecar = _json_sidecar(output)
     if not s["delta_ts"]:
         raise UsageError("--delta-ts must list at least one period")
     if any(dt < 1 for dt in s["delta_ts"]):
         raise UsageError("--delta-ts must all be >= 1")
-    ticks = ingest.parse_ticks(_resolve_input(inputs[0]))
+    if None not in fit_range and fit_range[0] > fit_range[1]:
+        raise UsageError("--period-min must not exceed --period-max")
+    ticks = ingest.load_ticks(_resolve_input(inputs[0]))
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
                                       min_nobs=s["min_nobs"])
     _write(output, stats.scan_to_csv(scan))
@@ -328,7 +328,7 @@ def cmd_rolling(s, inputs, output):
 def cmd_join(s, inputs, output):
     tracks = []
     for path in inputs:
-        with open(_resolve_input(path)) as fh:
+        with open(_resolve_input(path), encoding="utf-8") as fh:
             tracks.append(rolling.read_track_csv(fh.read()))
     table = rolling.join_measures(tracks, names=[Path(p).stem for p in inputs])
     _write(output, rolling.joined_to_csv(table))

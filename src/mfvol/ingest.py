@@ -9,7 +9,11 @@ import io
 import json
 import math
 import os
+import stat
+import sys
+import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,6 +181,146 @@ def parse_ticks(source) -> TickSeries:
         if np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all():
             return _tick_series(t, p, a)
     return _parse_tick_lines(_read_text(source))
+
+
+TICK_CACHE_ENTRIES = 4  # parsed tick files the cache keeps, the most recently used
+TICK_CACHE_BYTES = 1 << 29  # and the most bytes those entries may hold together
+_HASH_BYTES = 1 << 20
+
+
+def load_ticks(path) -> TickSeries:
+    """`parse_ticks(path)`, parsed once per file contents and then cached.
+
+    An entry is keyed by the SHA-256 of the file's bytes, the mfvol, NumPy
+    and Python versions and this module's own bytes, so an edited file,
+    another release or changed parsing code never finds it.  Entries live in
+    ``$XDG_CACHE_HOME/mfvol/ticks`` (default ``~/.cache/mfvol/ticks``), a
+    folder that must belong to the current user and be closed to others; the
+    TICK_CACHE_ENTRIES most recently used that fit in TICK_CACHE_BYTES are
+    kept.  A hit is checked against every guarantee of `parse_ticks`, and an
+    entry that fails a check or cannot be read is a miss.  Without a usable
+    cache the file is parsed as `parse_ticks` parses it; an input that fails
+    to parse raises its usual error and is not cached.
+    """
+    path = Path(path)
+    folder = _tick_cache_dir()
+    if folder is None or not _private(folder):
+        return parse_ticks(path)
+    state = _file_state(path)
+    try:
+        key = _content_key(path)
+    except OSError:  # parse_ticks reports an unreadable input
+        return parse_ticks(path)
+    entry = folder / f"{key}.npz"
+    ticks = _read_entry(entry)
+    if ticks is not None:
+        try:
+            os.utime(entry)  # the pruning order is the order of use
+        except OSError:
+            pass
+        return ticks
+    ticks = parse_ticks(path)
+    if state is not None and _file_state(path) == state:  # not written to meanwhile
+        _write_entry(folder, entry, ticks)
+    return ticks
+
+
+def _tick_cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores a relative path
+        home = os.environ.get("HOME")
+        if not home:
+            return None
+        base = os.path.join(home, ".cache")
+    return Path(base, "mfvol", "ticks")
+
+
+def _private(folder):
+    """Whether ``folder`` is missing, or is a directory of the current user's
+    that no one else may read or write: only then is an entry trusted."""
+    try:
+        st = os.stat(folder)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and hasattr(os, "getuid")
+            and st.st_uid == os.getuid() and not st.st_mode & 0o077)
+
+
+def _file_state(path):
+    """What a write to the file changes; None when it cannot be read."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _content_key(path):
+    """Hex SHA-256 of what a parse depends on: the mfvol, NumPy and Python
+    versions, this module's bytes, and the file's bytes, read in blocks."""
+    import hashlib
+
+    import mfvol  # imported in full by the time a file is read
+
+    digest = hashlib.sha256(b"\0".join([mfvol.__version__.encode(), np.__version__.encode(),
+                                        sys.version.encode(), Path(__file__).read_bytes(),
+                                        b""]))
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_entry(entry):
+    """The TickSeries a cache entry holds; None when it is missing, cannot be
+    read, or breaks a guarantee of `parse_ticks`."""
+    try:
+        with open(entry, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                return None
+            t, p, a, was_sorted = (npz[k] for k in ("t", "p", "a", "input_was_sorted"))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    valid = (t.dtype == np.int64 and p.dtype == np.float64 and a.dtype == np.float64
+             and was_sorted.dtype == np.bool_ and was_sorted.shape == ()
+             and t.ndim == 1 and t.shape == p.shape == a.shape
+             and np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()
+             and (t[1:] >= t[:-1]).all())
+    return TickSeries(t, p, a, input_was_sorted=bool(was_sorted)) if valid else None
+
+
+def _write_entry(folder, entry, ticks):
+    """Store ``ticks`` as ``entry``, then keep only the TICK_CACHE_ENTRIES most
+    recently used entries that fit in TICK_CACHE_BYTES.  The entry appears
+    whole or not at all; arrays larger than the bound are not stored, and a
+    cache that cannot be written is left as it is."""
+    arrays = {"t": ticks.timestamps, "p": ticks.prices, "a": ticks.amounts}
+    if sum(x.nbytes for x in arrays.values()) > TICK_CACHE_BYTES:
+        return
+    try:
+        folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(folder):
+            return
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=folder)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays, input_was_sorted=ticks.input_was_sorted)
+            os.replace(tmp, entry)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        kept = total = 0
+        for old in sorted(folder.glob("*.npz"), key=lambda e: -e.stat().st_mtime_ns):
+            total += old.stat().st_size
+            if kept < TICK_CACHE_ENTRIES and total <= TICK_CACHE_BYTES:
+                kept += 1
+            else:
+                old.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def _parse_tick_lines(text) -> TickSeries:

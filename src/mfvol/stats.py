@@ -185,8 +185,9 @@ def agg_gaussianity_scan(
 
     Each period is resampled independently; periods yielding fewer than
     min_nobs returns are skipped with a warning record.  The slope is the
-    OLS fit of ln(kurtosis) on ln(delta_t) over periods inside fit_range
-    (default: all retained periods).
+    OLS fit of ln(kurtosis) on ln(delta_t) over periods inside fit_range,
+    a (min, max) pair in minutes; a missing pair or a None end stands for
+    the shortest or longest retained period (0 when none is retained).
     """
     delta_ts = sorted(int(d) for d in delta_ts)
     rows, warnings = [], []
@@ -215,10 +216,9 @@ def agg_gaussianity_scan(
             }
         )
 
-    if fit_range is None and rows:
-        fit_range = (rows[0]["delta_t"], rows[-1]["delta_t"])
-    elif fit_range is None:
-        fit_range = (0, 0)
+    kept = [r["delta_t"] for r in rows] or [0]
+    lo, hi = (None, None) if fit_range is None else fit_range
+    fit_range = (min(kept) if lo is None else lo, max(kept) if hi is None else hi)
 
     in_range = [r for r in rows if fit_range[0] <= r["delta_t"] <= fit_range[1]]
     slope = slope_se = None

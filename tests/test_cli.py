@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfvol import cli, mfdfa, synth
+from mfvol import cli, ingest, mfdfa, synth
 
 
 def run(argv):
@@ -330,6 +330,7 @@ class TestErrorHandling:
         ["ingest", "--outlier-threshold", "nan"],
         ["agg-gauss", "--delta-ts", "0,60"],
         ["agg-gauss", "--config", '{"delta_ts":[]}'],
+        ["agg-gauss", "--delta-ts", "60,1440", "--period-min", "360", "--period-max", "60"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_bad_settings_usage_error(self, tmp_path, argv):
         series = tmp_path / "r.csv"
@@ -451,3 +452,88 @@ def test_manifest_config_replays_run(subcommand, tmp_path, monkeypatch):
     replayed, second = outputs(tmp_path / "second", ["--config", str(config)])
     assert replayed["config"] == manifest["config"]
     assert first and second == first
+
+
+@pytest.mark.parametrize("flags,fit_range", [
+    (["--period-min", "30"], [30, 1440]),
+    (["--period-max", "60"], [5, 60]),
+    (["--period-min", "30", "--period-max", "1440"], [30, 1440]),
+])
+def test_agg_gauss_one_sided_period_range(tmp_path, flags, fit_range):
+    """A missing end of the kurtosis-fit range is the shortest or longest
+    period kept, as --help says."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    argv = ["agg-gauss", "--input", str(ticks), "--delta-ts", "5,30,60,1440",
+            "--min-nobs", "5"]
+    assert run([*argv, *flags, "-o", str(tmp_path / "a.csv")]) == 0
+    assert run([*argv, "--period-min", str(fit_range[0]), "--period-max", str(fit_range[1]),
+                "-o", str(tmp_path / "b.csv")]) == 0
+    summary = json.loads((tmp_path / "a.json").read_text())
+    assert summary["fit_range"] == fit_range
+    assert summary == json.loads((tmp_path / "b.json").read_text())
+
+
+def test_tick_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypatch):
+    """The tick-reading runs of the benchmark pipeline write the same bytes,
+    manifests included, with no cache, a cold cache and a warm one."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    pipeline = [
+        ["ingest", "--input", str(ticks), "--delta-t", "1440", "-o", "daily.csv"],
+        ["ingest", "--input", str(ticks), "--delta-t", "5", "-o", "m5.csv"],
+        ["agg-gauss", "--input", str(ticks), "--delta-ts",
+         "5,10,15,30,60,120,240,480,720,1440", "-o", "agg.csv"],
+    ]
+
+    def outputs(name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        for argv in pipeline:
+            assert run(argv) == 0
+        return {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+    with monkeypatch.context() as no_cache:
+        no_cache.delenv("XDG_CACHE_HOME")
+        no_cache.delenv("HOME", raising=False)
+        reference = outputs("none")
+    assert not any(tick_cache_home.iterdir())
+    assert outputs("cold") == reference
+    assert len(list(tick_cache_home.glob("mfvol/ticks/*.npz"))) == 1
+
+    monkeypatch.setattr(ingest, "parse_ticks", None)  # a warm cache parses nothing
+    assert outputs("warm") == reference
+
+
+def test_text_io_names_its_encoding(tmp_path, tick_cache_home):
+    """Every subcommand runs under -X warn_default_encoding without an
+    EncodingWarning from mfvol: no text file follows the locale.  The run is
+    a subprocess, which also reads the test's tick cache home."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_nobs": 5}))
+    runs = [["simulate", "--model", "gaussian", "--n", "300", "-o", "r.csv"],
+            ["ingest", "--input", str(ticks), "--delta-t", "60", "-o", "h.csv"],
+            ["stats", "--input", "r.csv", "-o", "stats.json"],
+            ["agg-gauss", "--input", str(ticks), "--delta-ts", "60,1440",
+             "--config", str(config), "-o", "agg.csv"],
+            ["tgarch", "--input", "r.csv", "--dist", "normal", "-o", "fit.json"],
+            ["mfdfa", "--input", "r.csv", *_MFDFA_FLAGS, "-o", "mf"],
+            ["rolling", "--input", "r.csv", "--estimator", "stats", "--window", "100",
+             "--step", "100", "-o", "track.csv"],
+            ["join", "--inputs", "track.csv", "track.csv", "-o", "joined.csv"]]
+    assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+    script = ("import json, sys\nfrom mfvol import cli\n"
+              "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "always::EncodingWarning",
+         "-c", script, json.dumps(runs)],
+        cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    package = str(Path(cli.__file__).parent)
+    assert [ln for ln in proc.stderr.splitlines()
+            if "EncodingWarning" in ln and package in ln] == []
+    assert len(list(tick_cache_home.glob("mfvol/ticks/*.npz"))) == 1

@@ -1,6 +1,9 @@
 import math
+import os
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfvol
 from mfvol import ingest
 
 
@@ -447,3 +451,191 @@ class TestCsvTable:
 
     def test_empty_table_is_its_header(self):
         assert ingest.csv_table("q,h", "%.17g,%.17g", [np.array([]), []]) == "q,h\n"
+
+
+class TestTickCache:
+    """`load_ticks`: `parse_ticks` behind a cache keyed by the file's contents."""
+
+    @pytest.fixture
+    def entries(self, tick_cache_home):
+        folder = tick_cache_home / "mfvol" / "ticks"
+        return lambda: sorted(folder.glob("*")) if folder.exists() else []
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("timestamps", "prices", "amounts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.input_was_sorted is want.input_was_sorted
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, monkeypatch, shuffle):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 2_000, seed=7)
+        if shuffle:  # out of order: the entry holds the sorted arrays
+            lines = path.read_text().splitlines(keepends=True)
+            np.random.default_rng(1).shuffle(lines)
+            path.write_text("".join(lines))
+        want = ingest.parse_ticks(path)
+        assert want.input_was_sorted is not shuffle
+        self.assert_same(ingest.load_ticks(path), want)
+        assert len(entries()) == 1
+        monkeypatch.setattr(ingest, "parse_ticks", None)  # a hit parses nothing
+        self.assert_same(ingest.load_ticks(str(path)), want)
+
+    def test_edited_file_of_the_same_size_and_mtime_misses(self, tmp_path, entries):
+        path = tmp_path / "ticks.csv"
+        path.write_text("1,10.5,1\n2,11.5,1\n")
+        stat = path.stat()
+        assert ingest.load_ticks(path).prices.tolist() == [10.5, 11.5]
+        path.write_text("1,10.5,1\n2,12.5,1\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert ingest.load_ticks(path).prices.tolist() == [10.5, 12.5]
+        assert len(entries()) == 2
+
+    @pytest.mark.parametrize("change", ["mfvol_version", "numpy_version", "python_version",
+                                        "module_bytes"])
+    def test_other_parsing_code_misses(self, tmp_path, entries, monkeypatch, change):
+        path = tmp_path / "ticks.csv"
+        path.write_text("1,10.5,1\n")
+        ingest.load_ticks(path)
+        if change == "mfvol_version":
+            monkeypatch.setattr(mfvol, "__version__", mfvol.__version__ + ".post1")
+        elif change == "numpy_version":
+            monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        elif change == "python_version":
+            monkeypatch.setattr(sys, "version", sys.version + "+")
+        else:  # an edited ingest.py of the same release
+            edited = tmp_path / "ingest.py"
+            edited.write_bytes(Path(ingest.__file__).read_bytes() + b"\n")
+            monkeypatch.setattr(ingest, "__file__", str(edited))
+        ingest.load_ticks(path)
+        assert len(entries()) == 2
+
+    def test_file_written_while_parsed_is_not_cached(self, tmp_path, entries, monkeypatch):
+        path = tmp_path / "ticks.csv"
+        path.write_text("1,10.5,1\n")
+        parse = ingest.parse_ticks
+
+        def parse_then_edit(source):
+            ticks = parse(source)
+            path.write_text("1,12.5,1\n")
+            return ticks
+
+        monkeypatch.setattr(ingest, "parse_ticks", parse_then_edit)
+        assert ingest.load_ticks(path).prices.tolist() == [10.5]
+        assert entries() == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "price", "dtype",
+                                        "order", "missing"])
+    def test_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, entries, damage):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 500, seed=8)
+        want = ingest.parse_ticks(path)
+        ingest.load_ticks(path)
+        (entry,) = entries()
+        arrays = {"t": want.timestamps, "p": want.prices, "a": want.amounts,
+                  "input_was_sorted": True}
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"not a cache entry")
+        elif damage == "npy":
+            with open(entry, "wb") as fh:
+                np.save(fh, want.prices)
+        else:
+            if damage == "price":
+                arrays["p"] = np.where(np.arange(500) == 9, -1.0, want.prices)
+            elif damage == "dtype":
+                arrays["t"] = want.timestamps.astype(np.float64)
+            elif damage == "order":
+                arrays["t"] = want.timestamps[::-1].copy()
+            else:
+                del arrays["a"]
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+        self.assert_same(ingest.load_ticks(path), want)
+        assert entries() == [entry]
+        self.assert_same(ingest._read_entry(entry), want)
+
+    @pytest.mark.parametrize("where", ["file_as_cache_home", "file_as_cache_dir",
+                                       "no_home"])
+    def test_unusable_cache_still_parses(self, tmp_path, tick_cache_home, monkeypatch,
+                                         where):
+        if where == "file_as_cache_home":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+            (tmp_path / "file").write_text("")
+        elif where == "file_as_cache_dir":
+            (tick_cache_home / "mfvol").mkdir()
+            (tick_cache_home / "mfvol" / "ticks").write_text("")
+        else:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+            monkeypatch.delenv("HOME", raising=False)
+            assert ingest._tick_cache_dir() is None
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 200, seed=9)
+        for _ in range(2):
+            self.assert_same(ingest.load_ticks(path), ingest.parse_ticks(path))
+
+    @pytest.mark.parametrize("flaw", ["group_writable", "world_readable", "other_owner"])
+    def test_folder_open_to_others_is_not_used(self, tmp_path, tick_cache_home, entries,
+                                               monkeypatch, flaw):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 200, seed=9)
+        want = ingest.load_ticks(path)
+        (entry,) = entries()
+        before = entry.stat().st_mtime_ns
+        folder = entry.parent
+        if flaw == "other_owner":
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        else:
+            folder.chmod(0o720 if flaw == "group_writable" else 0o704)
+        parses = []
+        parse = ingest.parse_ticks
+        monkeypatch.setattr(ingest, "parse_ticks", lambda src: parses.append(src) or parse(src))
+        other = tmp_path / "other.csv"
+        _tick_file(other, 100, seed=10)
+        self.assert_same(ingest.load_ticks(path), want)
+        ingest.load_ticks(other)
+        assert parses == [path, other]  # no entry is read, and none is written
+        assert entries() == [entry] and entry.stat().st_mtime_ns == before
+
+    def test_keeps_the_most_recently_used_entries(self, tmp_path, entries):
+        paths = [tmp_path / f"ticks{k}.csv" for k in range(ingest.TICK_CACHE_ENTRIES + 2)]
+        for k, path in enumerate(paths):
+            path.write_text(f"{k},10.5,1\n")
+        n = ingest.TICK_CACHE_ENTRIES
+        for path in [*paths[:n], paths[0], *paths[n:]]:  # the hit on paths[0] is a use
+            ingest.load_ticks(path)
+        assert {e.name for e in entries()} == {
+            ingest._content_key(p) + ".npz" for p in [paths[0], *paths[3:]]}
+
+    def test_entries_fit_in_the_byte_bound(self, tmp_path, entries, monkeypatch):
+        paths = [tmp_path / f"ticks{k}.csv" for k in range(3)]
+        for k, (n, path) in enumerate(zip([100, 100, 300], paths)):
+            _tick_file(path, n, seed=20 + k)
+        monkeypatch.setattr(ingest, "TICK_CACHE_BYTES", 24 * 250)  # 250 ticks
+        names = [ingest._content_key(path) + ".npz" for path in paths]
+        ingest.load_ticks(paths[0])
+        ingest.load_ticks(paths[2])  # 300 ticks: not stored, and nothing is dropped
+        assert [e.name for e in entries()] == [names[0]]
+        ingest.load_ticks(paths[1])  # two entries and their headers would not fit
+        assert [e.name for e in entries()] == [names[1]]
+
+    def test_malformed_file_raises_and_is_not_cached(self, tmp_path, entries):
+        path = tmp_path / "ticks.csv"
+        path.write_text("1,10.0,1\n2,11.0,1\n3,abc,1\n")
+        for _ in range(2):
+            with pytest.raises(ingest.TickParseError, match="line 3"):
+                ingest.load_ticks(path)
+        assert entries() == []
+
+    def test_hit_memory_is_about_the_arrays(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 45_000, seed=5)  # ≈ 2 MB
+        ingest.load_ticks(path)
+        ticks, peak = TestPathReadMemory.peak(ingest.load_ticks, path)
+        assert len(ticks) == 45_000
+        assert peak < 1.5 * path.stat().st_size

@@ -68,6 +68,32 @@ class TestFluctuation:
             fitted = np.vander(x, order + 1) @ np.polyfit(x, segs, order)
             assert_rel(got, np.mean((segs - fitted) ** 2, axis=0), 1e-12)
 
+    def test_segment_chunks_depend_on_n_and_s_only(self):
+        # BLAS round-off depends on where a product's rows are split, so a
+        # window stacked with others must be split as it is alone; equal bits
+        # cannot show that, since most sizes round alike either way
+        class Recording:
+            """A basis that records the segment rows of each product."""
+
+            __array_ufunc__ = None  # so that segs @ basis calls __rmatmul__
+
+            def __init__(self, basis):
+                self.basis, self.T, self.rows = basis, basis.T, []
+
+            def __rmatmul__(self, segs):
+                self.rows.append(segs.shape[-2])
+                return segs @ self.basis
+
+        n, s = 40_000, 16
+        ns, chunk = n // s, mfdfa._SEGMENT_ELEMS // s
+        y = np.cumsum(np.random.default_rng(3).standard_normal((7, n)), axis=1)
+        alone = mfdfa._segment_variances(y[0], s, mfdfa._segment_basis(s, 1))
+        for depth in (1, 3, 7):
+            basis = Recording(mfdfa._segment_basis(s, 1))
+            got = mfdfa._segment_variances(y[:depth], s, basis)
+            assert basis.rows == [chunk, chunk, 2 * ns - 2 * chunk]
+            assert np.array_equal(got[0], alone)
+
     def test_segment_basis_cached_read_only(self):
         basis = mfdfa._segment_basis(50, 3)
         assert mfdfa._segment_basis(50, 3) is basis
