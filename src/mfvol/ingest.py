@@ -98,8 +98,13 @@ _COMPRESSED = (".gz", ".bz2", ".xz")
 
 def _text_or_path(source):
     """``source`` itself when it is a path np.loadtxt reads as it is, its text
-    otherwise (np.loadtxt decompresses a path by its suffix)."""
-    if isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED:
+    otherwise.  A path is read in place only if it names a regular file
+    without a compressed suffix: np.loadtxt decompresses a path by its
+    suffix, and a pipe (``--input <(zcat ticks.csv.gz)``) can be read only
+    once, while a path is opened for its line-break check and again by
+    np.loadtxt."""
+    if (isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED
+            and os.path.isfile(source)):
         return source
     return _read_text(source)
 
@@ -199,12 +204,15 @@ def load_ticks(path) -> TickSeries:
     TICK_CACHE_ENTRIES most recently used that fit in TICK_CACHE_BYTES are
     kept.  A hit is checked against every guarantee of `parse_ticks`, and an
     entry that fails a check or cannot be read is a miss.  Without a usable
-    cache the file is parsed as `parse_ticks` parses it; an input that fails
-    to parse raises its usual error and is not cached.
+    cache, or for a path that is not a regular file (a pipe, which can be
+    read only once), the input is parsed as `parse_ticks` parses it and is
+    not cached; an input that fails to parse raises its usual error and is
+    not cached.
     """
     path = Path(path)
     folder = _tick_cache_dir()
-    if folder is None or not _private(folder):
+    # a pipe is read once, by the parse; a missing file raises there too
+    if folder is None or not _private(folder) or not path.is_file():
         return parse_ticks(path)
     state = _file_state(path)
     try:

@@ -14,9 +14,13 @@ Calzolari & Panattoni 1996): the adjoint lam of the variances solves the
 transposed system (I - beta * L)^T lam = dNLL/dsigma2 with the same banded
 solver, and each parameter's term is then one dot product of lam with
 du/dtheta.  One score call costs a little over two likelihood calls,
-whatever the number of parameters.  ``scipy.linalg`` and ``scipy.special``
-are already loaded by ``scipy.optimize``, so this adds nothing to import
-time.
+whatever the number of parameters, when it runs its own forward pass.  An
+optimizer asks for the score at the point whose likelihood it has just
+evaluated, so ``tgarch_nll`` can hand its forward pass (sigma2, eps, w and
+the density constants) to the ``tgarch_score`` call at the same point,
+which then runs only the backward pass, about 1.3 likelihood calls.
+``scipy.linalg`` and ``scipy.special`` are already loaded by
+``scipy.optimize``, so this adds nothing to import time.
 """
 
 import math
@@ -107,7 +111,7 @@ def _squared_residuals(r, params, sigma2_init):
     return log_c, scale, sigma2, eps, np.square(eps[1:]) / s2 * scale
 
 
-def tgarch_nll(r, params, sigma2_init):
+def tgarch_nll(r, params, sigma2_init, forward=None):
     """Negative log-likelihood, conditional on the first return.
 
     ``params`` supplies the recursion's parameters, ``dist`` (``"normal"``,
@@ -115,8 +119,14 @@ def tgarch_nll(r, params, sigma2_init):
     observations are t = 1 .. n-1 (the AR(1) lag consumes one).  Returns
     +inf for an invalid shape or if the variance recursion leaves the
     positive domain.
+
+    ``forward``, if given, is a dict that receives this call's forward pass
+    (the variances, residuals and density constants) under ``"terms"``, for
+    a ``tgarch_score`` call at the same ``r``, ``params`` and ``sigma2_init``.
     """
     terms = _squared_residuals(r, params, sigma2_init)
+    if forward is not None:
+        forward["terms"] = terms
     if terms is None:
         return math.inf
     log_c, _, sigma2, _, w = terms
@@ -134,7 +144,7 @@ def tgarch_nll(r, params, sigma2_init):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite is the signal
-def tgarch_score(r, params, sigma2_init):
+def tgarch_score(r, params, sigma2_init, forward=None):
     """Gradient of ``tgarch_nll`` with respect to (mu, c1, omega, alpha,
     beta, gamma), plus the shape unless ``params.dist`` is ``"normal"``;
     ``sigma2_init`` is held fixed.
@@ -142,11 +152,16 @@ def tgarch_score(r, params, sigma2_init):
     All NaN for an invalid shape or a variance path outside the positive
     finite domain, and with non-finite entries where a likelihood term
     overflows; never a warning.
+
+    ``forward`` is the dict a ``tgarch_nll`` call at the same arguments
+    filled; its forward pass is reused, so the call runs only the backward
+    one.  Without it the forward pass is run here.
     """
     dist, shape = params.dist, params.shape
     grad = np.full(6 if dist == "normal" else 7, math.nan)
     r = np.ascontiguousarray(r, dtype=np.float64)
-    terms = _squared_residuals(r, params, sigma2_init)
+    terms = (_squared_residuals(r, params, sigma2_init) if forward is None
+             else forward["terms"])
     if terms is None:
         return grad
     _, scale, sigma2, eps, w = terms

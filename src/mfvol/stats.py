@@ -188,6 +188,8 @@ def agg_gaussianity_scan(
     OLS fit of ln(kurtosis) on ln(delta_t) over periods inside fit_range,
     a (min, max) pair in minutes; a missing pair or a None end stands for
     the shortest or longest retained period (0 when none is retained).
+    With fewer than two retained periods in that range the slope is None,
+    and a warning record names the range.
     """
     delta_ts = sorted(int(d) for d in delta_ts)
     rows, warnings = [], []
@@ -226,6 +228,10 @@ def agg_gaussianity_scan(
         lx = [math.log(r["delta_t"]) for r in in_range]
         ly = [math.log(r["kurtosis"]) for r in in_range]
         slope, _, slope_se, _ = fit_line(lx, ly)
+    else:
+        warnings.append({"fit_range": list(fit_range), "reason": (
+            f"no slope: {len(in_range)} kept period(s) in the fit range "
+            f"{fit_range[0]}-{fit_range[1]} minutes (< 2)")})
     return AggGaussScan(
         rows=rows, slope=slope, slope_se=slope_se,
         fit_range=tuple(fit_range), warnings=warnings,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, minimize
+from scipy.optimize import minimize
 
 from . import kernels
 from ._validate import finite_array
@@ -159,20 +159,59 @@ def _units(var, k):
 def _params_at(x, units, dist):
     """The parameters at the solver's point x, whose coordinates are the free
     parameters divided by ``units``."""
-    v = [float(a) for a in x[:6] * units[:6]]
+    v = (x[:6] * units[:6]).tolist()
     return TgarchParams(*v, dist=dist, shape=float(x[6]) if dist != "normal" else None)
 
 
-def _objective(x, r, dist, sigma2_init, units):
-    # +inf at a trial point whose variance overflows (one off the stationarity
-    # constraint, say); SLSQP's line search steps back from it
-    return kernels.tgarch_nll(r, _params_at(x, units, dist), sigma2_init)
+class _Objective:
+    """The fit's objective and its gradient at the solver's points x, for one
+    fit or one Hessian.
+
+    SLSQP asks for the gradient at the point whose likelihood it has just
+    evaluated, so the likelihood keeps its forward pass and a gradient at
+    the same point, keyed on the exact bytes of x, runs only the backward
+    one.  The memo holds one point and belongs to this object, never to the
+    module: two fits can visit the same x with different returns.
+    """
+
+    def __init__(self, r, dist, sigma2_init, units):
+        self.r, self.dist, self.sigma2_init, self.units = r, dist, sigma2_init, units
+        self._key = self._params = self._forward = None
+
+    def nll(self, x):
+        # +inf at a trial point whose variance overflows (one off the stationarity
+        # constraint, say); SLSQP's line search steps back from it
+        params = _params_at(x, self.units, self.dist)
+        forward = {}
+        nll = kernels.tgarch_nll(self.r, params, self.sigma2_init, forward)
+        self._key, self._params, self._forward = x.tobytes(), params, forward
+        return nll
+
+    def score(self, x):
+        # the analytic score in the solver's coordinates; not finite wherever the
+        # objective is +inf, so a Hessian that meets such a point is not finite
+        if x.tobytes() == self._key:
+            params, forward = self._params, self._forward
+        else:
+            params, forward = _params_at(x, self.units, self.dist), None
+        return kernels.tgarch_score(self.r, params, self.sigma2_init, forward) * self.units
 
 
-def _gradient(x, r, dist, sigma2_init, units):
-    # the analytic score in the solver's coordinates; not finite wherever the
-    # objective is +inf, so a Hessian that meets such a point is not finite
-    return kernels.tgarch_score(r, _params_at(x, units, dist), sigma2_init) * units
+def _linear_constraints(k):
+    """alpha + gamma >= 0 and alpha + beta + gamma/2 <= _MAX_PERSISTENCE as one
+    SLSQP inequality block g(x) >= 0 with a constant Jacobian.  Both rows come
+    from one ``rows @ x`` product, the values SciPy's ``LinearConstraint``
+    wrapper computes, bit for bit."""
+    rows = np.ascontiguousarray(
+        np.array([[0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0.5, 0]], dtype=np.float64)[:, :k])
+    jac = rows * np.array([[1.0], [-1.0]])
+
+    def values(x):
+        y = rows @ x
+        y[1] = -(y[1] - _MAX_PERSISTENCE)
+        return y
+
+    return {"type": "ineq", "fun": values, "jac": lambda x: jac}
 
 
 def _moment_start(r, dist, var):
@@ -213,15 +252,14 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
     units = _units(sigma2_init, k)
     bounds = [(None, None), (None, None), (_OMEGA_FLOOR, None), (0.0, None), (0.0, None),
               (None, None), _SHAPE_BOUNDS.get(dist)][:k]
-    # rows: alpha + gamma, and the persistence alpha + beta + gamma/2
-    rows = np.array([[0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0.5, 0]], dtype=np.float64)[:, :k]
-    constraints = LinearConstraint(rows, [0.0, -np.inf], [np.inf, _MAX_PERSISTENCE])
+    constraints = _linear_constraints(k)
     rng = np.random.default_rng(MULTISTART_SEED)
     starts = [x0] + [x0 + rng.normal(0.0, _START_SPREAD[:k]) for _ in range(_MULTISTARTS - 1)]
 
+    objective = _Objective(r, dist, sigma2_init, units)
     results = [
-        minimize(_objective, x_start, args=(r, dist, sigma2_init, units), method="SLSQP",
-                 jac=_gradient, bounds=bounds, constraints=constraints,
+        minimize(objective.nll, x_start, method="SLSQP", jac=objective.score,
+                 bounds=bounds, constraints=constraints,
                  options={"ftol": _FTOL, "maxiter": _MAXITER})
         for x_start in starts
     ]
@@ -266,11 +304,11 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     idx = [all_names.index(n) for n in names]
     units = _units(sigma2_init, len(all_names))
     x0 = np.array([getattr(params, n) for n in all_names]) / units
-    args = (r, params.dist, sigma2_init, units)
+    score = _Objective(r, params.dist, sigma2_init, units).score
 
     h = _SE_REL_STEP * (np.abs(x0[idx]) + 0.1)
     steps = np.eye(len(x0))[idx] * h[:, None]
-    hess = np.array([_gradient(x0 + step, *args) - _gradient(x0 - step, *args)
+    hess = np.array([score(x0 + step) - score(x0 - step)
                      for step in steps])[:, idx] / (2.0 * h[:, None])
     hess = 0.5 * (hess + hess.T)
 

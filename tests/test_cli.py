@@ -474,6 +474,35 @@ def test_agg_gauss_one_sided_period_range(tmp_path, flags, fit_range):
     assert summary == json.loads((tmp_path / "b.json").read_text())
 
 
+def test_agg_gauss_without_slope_says_why(tmp_path):
+    """A fit range holding fewer than two kept periods gives a null slope and
+    a warning record naming the range."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    assert run(["agg-gauss", "--input", str(ticks), "--delta-ts", "5,60,1440",
+                "--period-min", "30", "--period-max", "59", "--min-nobs", "5",
+                "-o", str(tmp_path / "a.csv")]) == 0
+    summary = json.loads((tmp_path / "a.json").read_text())
+    assert summary["slope"] is None and summary["slope_se"] is None
+    assert summary["warnings"] == [{
+        "fit_range": [30, 59],
+        "reason": "no slope: 0 kept period(s) in the fit range 30-59 minutes (< 2)"}]
+
+
+def test_ingest_reads_a_pipe(tmp_path, read_fifo):
+    """`ingest --input <(zcat ticks.csv.gz)` reads its pipe once and writes
+    what it writes for the file."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    argv = ["ingest", "--delta-t", "60"]
+    # the pipe first: a cached parse of the file would let it skip the parse
+    assert read_fifo(ticks.read_text(), lambda path: run(
+        [*argv, "--input", str(path), "-o", str(tmp_path / "pipe.csv")])) == 0
+    assert run([*argv, "--input", str(ticks), "-o", str(tmp_path / "file.csv")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"pipe{suffix}").read_bytes() == (tmp_path / f"file{suffix}").read_bytes()
+
+
 def test_tick_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypatch):
     """The tick-reading runs of the benchmark pipeline write the same bytes,
     manifests included, with no cache, a cold cache and a warm one."""

@@ -453,6 +453,26 @@ class TestCsvTable:
         assert ingest.csv_table("q,h", "%.17g,%.17g", [np.array([]), []]) == "q,h\n"
 
 
+class TestPipeInput:
+    """A path that is not a regular file, such as ``<(zcat ticks.csv.gz)``, is
+    read once; a second open of a pipe would wait for a writer for ever."""
+
+    def test_parse_ticks(self, tmp_path, read_fifo):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 20_000, seed=3)  # > 64 KiB: the writer waits on the reader
+        got = read_fifo(path.read_text(), ingest.parse_ticks)
+        TestTickCache.assert_same(got, ingest.parse_ticks(path))
+
+    def test_read_returns_csv(self, read_fifo):
+        text = "timestamp,value,flag\n" + "".join(
+            f"{86400 * i},{v!r},ok\n"
+            for i, v in enumerate(np.random.default_rng(4).standard_normal(5_000).tolist()))
+        got = read_fifo(text, ingest.read_returns_csv)
+        want = ingest.read_returns_csv(text)
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.values, want.values)
+        assert got.delta_t_minutes == want.delta_t_minutes == 1440
+
+
 class TestTickCache:
     """`load_ticks`: `parse_ticks` behind a cache keyed by the file's contents."""
 
@@ -482,6 +502,13 @@ class TestTickCache:
         assert len(entries()) == 1
         monkeypatch.setattr(ingest, "parse_ticks", None)  # a hit parses nothing
         self.assert_same(ingest.load_ticks(str(path)), want)
+
+    def test_pipe_is_parsed_and_not_cached(self, tmp_path, entries, read_fifo):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 20_000, seed=5)
+        got = read_fifo(path.read_text(), ingest.load_ticks)
+        self.assert_same(got, ingest.parse_ticks(path))
+        assert entries() == []
 
     def test_edited_file_of_the_same_size_and_mtime_misses(self, tmp_path, entries):
         path = tmp_path / "ticks.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import LinearConstraint, minimize
 
 from mfvol import kernels, tgarch
 
@@ -16,6 +17,40 @@ def normal_params(**kw):
                 dist="normal")
     base.update(kw)
     return tgarch.TgarchParams(**base)
+
+
+# The benchmark's model: tgarch.simulate with seed [seed, stream] and a burn-in
+# of 500 gives the series of perfbench/gen.py daily_series(n, seed, stream)
+BENCH_MODEL = tgarch.TgarchParams(mu=0.03, c1=0.05, omega=0.2, alpha=0.1, beta=0.8,
+                                  gamma=-0.05, dist="student-t", shape=5.0)
+WINDOWS = {
+    # the benchmark panel's first window: an interior fit under every law
+    "interior": lambda: tgarch.simulate(BENCH_MODEL, 578, seed=[7, 100], burn_in=500)[:548],
+    # the panel's stream 101: alpha + gamma = 0 under every law, and no Hessian
+    "boundary": lambda: tgarch.simulate(BENCH_MODEL, 548, seed=[7, 101], burn_in=500),
+    # a rolling window of 3,000 bars whose GED fit moves in its last digits when
+    # the two constraint rows are taken from separate dot products
+    "rolling": lambda: tgarch.simulate(BENCH_MODEL, 3000, seed=[1, 11], burn_in=500)[120:668],
+}
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of the named ``kernels`` functions, made through the
+    module attribute; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(kernels, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(kernels, name, counting(name))
+    return calls
 
 
 def best_step_gain(params, r):
@@ -263,25 +298,103 @@ class TestFit:
     def test_likelihood_called_through_kernels_attribute(self, monkeypatch):
         # the benchmark's tracer counts likelihood calls through this attribute;
         # std_errors differences the score, so it is reached the same way
-        calls = {"tgarch_nll": 0, "tgarch_score": 0}
-
-        def counting(name):
-            real = getattr(kernels, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(kernels, name, counting(name))
+        calls = count_calls(monkeypatch, ["tgarch_nll", "tgarch_score"])
         r = np.random.default_rng(3).standard_normal(200)
         fit = tgarch.fit(r, "normal")
         after_fit = dict(calls)
         tgarch.std_errors(r, fit.params)
         assert after_fit["tgarch_nll"] > 0 and after_fit["tgarch_score"] > 0
         assert calls["tgarch_score"] > after_fit["tgarch_score"]
+
+
+class TestSharedForwardPass:
+    """SLSQP asks for the score at the point whose likelihood it has just
+    evaluated; the fit reuses that likelihood's forward pass there, and the
+    fit does not change."""
+
+    @staticmethod
+    def plain_fit(r, dist, starts, bounds):
+        """`tgarch.fit` from the given starts and bounds with every likelihood
+        and score call running its own forward pass, and the two linear
+        constraints as SciPy's `LinearConstraint`."""
+        sigma2_init = tgarch._default_sigma2_init(r)
+        k = len(starts[0])
+        units = tgarch._units(sigma2_init, k)
+
+        def nll(x):
+            return kernels.tgarch_nll(r, tgarch._params_at(x, units, dist), sigma2_init)
+
+        def score(x):
+            return kernels.tgarch_score(r, tgarch._params_at(x, units, dist), sigma2_init) * units
+
+        rows = np.array([[0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0.5, 0]])[:, :k]
+        constraint = LinearConstraint(rows, [0.0, -np.inf], [np.inf, tgarch._MAX_PERSISTENCE])
+        results = [minimize(nll, x0, method="SLSQP", jac=score, bounds=bounds,
+                            constraints=constraint,
+                            options={"ftol": tgarch._FTOL, "maxiter": tgarch._MAXITER})
+                   for x0 in starts]
+        best = min(results, key=lambda res: (not res.success, res.fun))
+        x = best.x.copy()
+        x[5] = max(x[5], -x[3])
+        params = tgarch._params_at(x, units, dist)
+        se = tgarch.std_errors(r, params, sigma2_init=sigma2_init)
+        return tgarch.TgarchFit(
+            params=params, std_errors=se.values,
+            loglik=-tgarch.neg_log_likelihood(params, r, sigma2_init),
+            converged=bool(best.success), iterations=sum(int(res.nit) for res in results),
+            hessian_ok=se.hessian_ok, nobs=len(r))
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("dist", ["normal", "student-t", "ged"])
+    def test_fit_equals_the_plain_solve_exactly(self, monkeypatch, dist, window):
+        r = WINDOWS[window]()
+        solves = []
+        real_minimize = tgarch.minimize
+
+        def recording(fun, x0, **kwargs):
+            solves.append((x0.copy(), kwargs["bounds"]))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tgarch, "minimize", recording)
+        got = tgarch.fit(r, dist)
+        want = self.plain_fit(r, dist, [x0 for x0, _ in solves], solves[0][1])
+        assert len(solves) == tgarch._MULTISTARTS
+        # params, log-likelihood, standard errors, converged and iterations, exactly
+        assert tgarch.fit_to_json(got) == tgarch.fit_to_json(want)
+        if window == "boundary":
+            assert got.params.alpha + got.params.gamma == 0.0
+        elif window == "interior":
+            assert got.hessian_ok
+
+    def test_one_forward_pass_per_solver_point(self, monkeypatch):
+        # 126 likelihood calls by SLSQP over three starts and one to score the
+        # projected optimum, as before the score reused the forward pass
+        calls = count_calls(monkeypatch, ["tgarch_nll", "tgarch_score", "tgarch_recursion"])
+        fit = tgarch.fit(WINDOWS["interior"](), "student-t")
+        k = len(fit.params.free_names())
+        assert calls["tgarch_nll"] == 127
+        assert calls["tgarch_score"] > 2 * k
+        # each score SLSQP asks for reuses a likelihood's recursion; only the
+        # Hessian's 2k score calls, at new points, run their own
+        assert calls["tgarch_recursion"] == calls["tgarch_nll"] + 2 * k
+
+    def test_memo_holds_one_point_of_one_objective(self):
+        r = WINDOWS["interior"]()
+        units = tgarch._units(1.0, 7)
+        x = np.array([0.01, 0.05, 0.1, 0.1, 0.8, 0.0, 5.0])
+        y = x + 0.01
+
+        def plain_score(returns, point):
+            params = tgarch._params_at(point, units, "student-t")
+            return kernels.tgarch_score(returns, params, 1.0) * units
+
+        objective = tgarch._Objective(r, "student-t", 1.0, units)
+        other = tgarch._Objective(2.0 * r, "student-t", 1.0, units)
+        objective.nll(x)
+        other.nll(x)  # the same point with other returns
+        assert np.array_equal(objective.score(x), plain_score(r, x))
+        assert np.array_equal(objective.score(y), plain_score(r, y))
+        assert not np.array_equal(plain_score(r, x), plain_score(r, y))
 
 
 class TestStdErrors:
