@@ -1,4 +1,5 @@
-"""Ordinary least-squares line fits with slope standard error and R^2."""
+"""Ordinary least-squares slopes, with their standard error and R^2, of
+one line or of a stack of lines sharing one abscissa."""
 
 import numpy as np
 
@@ -6,9 +7,9 @@ import numpy as np
 def fit_line(x, y):
     """Fit y = a + b*x by OLS, one line per row of y (along its last axis).
 
-    Returns (slope, intercept, slope_se, r_squared), each of shape
-    y.shape[:-1].  slope_se is None for fewer than 3 points (zero residual
-    degrees of freedom); r_squared is 1 for a row with no spread.
+    Returns (slope, slope_se, r_squared), each of shape y.shape[:-1].
+    slope_se is None for fewer than 3 points (zero residual degrees of
+    freedom); r_squared is 1 for a row with no spread.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -22,6 +23,7 @@ def fit_line(x, y):
     y_mean = y.mean(axis=-1)
     y_dev = y - y_mean[..., None]
     slope = (y_dev @ xm) / sxx
+    # the residuals keep this form: y_dev - slope * xm rounds differently
     intercept = y_mean - slope * x.mean()
     resid = y - (intercept[..., None] + slope[..., None] * x)
     ss_res = np.einsum("...j,...j->...", resid, resid)
@@ -29,4 +31,4 @@ def fit_line(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
     se = np.sqrt(ss_res / (n - 2) / sxx) if n > 2 else None
-    return slope, intercept, se, r2
+    return slope, se, r2

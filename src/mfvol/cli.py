@@ -233,6 +233,9 @@ def cmd_agg_gauss(s, inputs, output):
         raise UsageError("--delta-ts must list at least one period")
     if any(dt < 1 for dt in s["delta_ts"]):
         raise UsageError("--delta-ts must all be >= 1")
+    repeated = [dt for dt in s["delta_ts"] if s["delta_ts"].count(dt) > 1]
+    if repeated:
+        raise UsageError(f"--delta-ts lists the period {repeated[0]} more than once")
     if None not in fit_range and fit_range[0] > fit_range[1]:
         raise UsageError("--period-min must not exceed --period-max")
     ticks = ingest.load_ticks(_resolve_input(inputs[0]))
@@ -291,6 +294,10 @@ def cmd_mfdfa(s, inputs, output):
 def _rolling_estimator(s):
     name = s["estimator"]
     if name == "tgarch":
+        if s["window"] < tgarch.MIN_OBS:
+            raise UsageError(f"--window {s['window']} is too short for TGARCH: "
+                             f"a fit needs {tgarch.MIN_OBS} returns")
+
         def run(values):
             fit = tgarch.fit(values, dist=s["dist"])
             # a track holds numbers only; the normal law has shape None
@@ -311,6 +318,9 @@ def _rolling_estimator(s):
                              f"at s={cfg.min_length // 2} need {cfg.min_length} returns")
         return lambda windows: mfdfa.analyze_windows(windows, cfg)
     if name == "stats":
+        if s["window"] < stats.DESCRIPTIVE_MIN_OBS:
+            raise UsageError(f"--window {s['window']} is too short for the statistics: "
+                             f"they need {stats.DESCRIPTIVE_MIN_OBS} returns")
         return rolling.each_window(lambda values: stats.descriptive(values).as_dict())
     raise ValueError(f"unknown estimator {name!r}")
 
@@ -326,6 +336,8 @@ def cmd_rolling(s, inputs, output):
 
 
 def cmd_join(s, inputs, output):
+    if len(inputs) < 2:
+        raise UsageError("--inputs must name at least 2 tracks to join")
     tracks = []
     for path in inputs:
         with open(_resolve_input(path), encoding="utf-8") as fh:
@@ -335,13 +347,16 @@ def cmd_join(s, inputs, output):
 
 
 def cmd_simulate(s, inputs, output):
+    if s["model"] != "cascade" and s["n"] < 1:
+        raise UsageError("--n must be >= 1")
     if s["model"] == "gaussian":
         series = synth.gaussian_noise(s["n"], s["seed"])
     elif s["model"] == "cascade":
-        series = synth.binomial_cascade(synth.CascadeSpec(levels=s["levels"], a=s["a"]))
+        series = synth.binomial_cascade(
+            _checked(lambda: synth.CascadeSpec(levels=s["levels"], a=s["a"])))
     elif s["model"] == "tgarch":
         names = ("mu", "c1", "omega", "alpha", "beta", "gamma", "dist", "shape")
-        params = tgarch.TgarchParams(**{k: s[k] for k in names})
+        params = _checked(lambda: tgarch.TgarchParams(**{k: s[k] for k in names}))
         series = tgarch.simulate(params, s["n"], s["seed"])
     else:
         raise ValueError(f"unknown model {s['model']!r}")

@@ -1,8 +1,9 @@
 """Tick parsing, fixed-period resampling, log-returns, and cleaning rules.
 
 Input format: headerless UTF-8 CSV, one trade per line, ``unix_seconds,price,amount``
-(the Bitcoincharts dump layout).  Prices are resampled onto a regular
-bar grid and returns are percent log differences.
+(the Bitcoincharts dump layout).  Parsed ticks are in timestamp order, and
+`load_ticks` caches their three arrays per file contents.  Prices are
+resampled onto a regular bar grid and returns are percent log differences.
 """
 
 import io
@@ -37,7 +38,6 @@ class TickSeries:
     timestamps: np.ndarray
     prices: np.ndarray
     amounts: np.ndarray
-    input_was_sorted: bool = True
 
     def __len__(self):
         return len(self.timestamps)
@@ -50,7 +50,6 @@ class PriceSeries:
     delta_t_minutes: int
     start_time: int
     prices: np.ndarray
-    observed: np.ndarray  # bool per bar; False = gap-filled (price carried over)
 
     def __len__(self):
         return len(self.prices)
@@ -162,19 +161,18 @@ def _tick_series(timestamps, prices, amounts) -> TickSeries:
     timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     amounts = np.ascontiguousarray(amounts, dtype=np.float64)
-    was_sorted = bool(np.all(np.diff(timestamps) >= 0)) if len(timestamps) > 1 else True
-    if not was_sorted:
+    if (timestamps[1:] < timestamps[:-1]).any():
         order = np.argsort(timestamps, kind="stable")
         timestamps, prices, amounts = timestamps[order], prices[order], amounts[order]
-    return TickSeries(timestamps, prices, amounts, input_was_sorted=was_sorted)
+    return TickSeries(timestamps, prices, amounts)
 
 
 def parse_ticks(source) -> TickSeries:
     """Parse `timestamp,price,amount` lines into a TickSeries.
 
     Empty lines are skipped.  Records are returned in timestamp order; a
-    stable sort is applied when the input is out of order (recorded in
-    ``input_was_sorted``) so that "last trade wins" semantics survive.
+    stable sort is applied when the input is out of order, so that "last
+    trade wins" semantics survive.
     ``source`` is a path, read in place, or text, bytes or a file object.
     The input is read as one array; input that fails that read or its checks
     is parsed line by line, which raises naming the offending line.
@@ -289,15 +287,14 @@ def _read_entry(entry):
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
-            t, p, a, was_sorted = (npz[k] for k in ("t", "p", "a", "input_was_sorted"))
+            t, p, a = (npz[k] for k in ("t", "p", "a"))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     valid = (t.dtype == np.int64 and p.dtype == np.float64 and a.dtype == np.float64
-             and was_sorted.dtype == np.bool_ and was_sorted.shape == ()
              and t.ndim == 1 and t.shape == p.shape == a.shape
              and np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()
              and (t[1:] >= t[:-1]).all())
-    return TickSeries(t, p, a, input_was_sorted=bool(was_sorted)) if valid else None
+    return TickSeries(t, p, a) if valid else None
 
 
 def _write_entry(folder, entry, ticks):
@@ -315,7 +312,7 @@ def _write_entry(folder, entry, ticks):
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=folder)
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays, input_was_sorted=ticks.input_was_sorted)
+                np.savez(fh, **arrays)
             os.replace(tmp, entry)
         finally:
             if os.path.exists(tmp):
@@ -363,8 +360,8 @@ def resample_last(ticks: TickSeries, delta_t_minutes: int) -> PriceSeries:
     """Resample to a regular grid: bar price = last trade in [start, start + dt).
 
     Bar boundaries are aligned to multiples of delta_t since the epoch.
-    Bars with no trades carry the previous bar's price and are flagged as
-    gap-filled.  Bars before the first trade are excluded.
+    Bars with no trades carry the previous bar's price.  Bars before the
+    first trade are excluded.
     """
     if len(ticks) == 0:
         raise ValueError("cannot resample an empty TickSeries")
@@ -379,15 +376,12 @@ def resample_last(ticks: TickSeries, delta_t_minutes: int) -> PriceSeries:
     # Last tick strictly before each bar end; bar 0 always contains a tick.
     ends = (first_bar + 1 + np.arange(n_bars, dtype=np.int64)) * step
     idx = np.searchsorted(ticks.timestamps, ends, side="left") - 1
-    starts = ends - step
-    observed = ticks.timestamps[idx] >= starts
-    prices = ticks.prices[idx]  # gap-filled bars inherit the last earlier trade
+    prices = ticks.prices[idx]  # a bar without trades inherits the last earlier one
 
     return PriceSeries(
         delta_t_minutes=int(delta_t_minutes),
         start_time=first_bar * step,
         prices=np.asarray(prices, dtype=np.float64),
-        observed=observed,
     )
 
 

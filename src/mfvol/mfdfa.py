@@ -111,7 +111,6 @@ class HurstCurve:
     h: np.ndarray
     slope_se: np.ndarray
     r_squared: np.ndarray
-    fit_range: tuple
 
 
 @dataclass
@@ -284,9 +283,8 @@ def generalized_hurst(fmat: FluctuationMatrix, fit_range=None) -> HurstCurve:
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 scales inside fit_range")
     x = np.log(fmat.s_grid[mask].astype(np.float64))
-    h, _, se, r2 = fit_line(x, np.log(fmat.values[..., mask]))
-    return HurstCurve(q_grid=fmat.q_grid, h=h, slope_se=se, r_squared=r2,
-                      fit_range=tuple(fit_range))
+    h, se, r2 = fit_line(x, np.log(fmat.values[..., mask]))
+    return HurstCurve(q_grid=fmat.q_grid, h=h, slope_se=se, r_squared=r2)
 
 
 def _grid_index(q_grid, q):

@@ -14,6 +14,8 @@ from . import ingest
 from ._linfit import fit_line
 from ._validate import finite_array
 
+DESCRIPTIVE_MIN_OBS = 4  # values `descriptive` needs
+
 
 @dataclass
 class DescriptiveStats:
@@ -116,7 +118,7 @@ def _se_from_replicates(reps):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # rejected below
 def descriptive(values) -> DescriptiveStats:
     """Mean, SD, kurtosis, skewness with delete-one jackknife errors."""
-    x = finite_array(values, "values", 4)
+    x = finite_array(values, "values", DESCRIPTIVE_MIN_OBS)
     n = len(x)
     # one set of centred power sums gives the moments and the jackknife; an
     # overflow shows as a non-finite moment, rejected just below
@@ -189,9 +191,13 @@ def agg_gaussianity_scan(
     a (min, max) pair in minutes; a missing pair or a None end stands for
     the shortest or longest retained period (0 when none is retained).
     With fewer than two retained periods in that range the slope is None,
-    and a warning record names the range.
+    with exactly two its standard error is None, and a warning record names
+    the range.  A period listed twice raises ValueError.
     """
     delta_ts = sorted(int(d) for d in delta_ts)
+    repeated = [a for a, b in zip(delta_ts, delta_ts[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"period {repeated[0]} minutes is listed more than once")
     rows, warnings = [], []
     for dt in delta_ts:
         prices = ingest.resample_last(ticks, dt)
@@ -227,11 +233,14 @@ def agg_gaussianity_scan(
     if len(in_range) >= 2:
         lx = [math.log(r["delta_t"]) for r in in_range]
         ly = [math.log(r["kurtosis"]) for r in in_range]
-        slope, _, slope_se, _ = fit_line(lx, ly)
-    else:
+        slope, slope_se, _ = fit_line(lx, ly)
+    span = f"the fit range {fit_range[0]}-{fit_range[1]} minutes"
+    if slope is None:
         warnings.append({"fit_range": list(fit_range), "reason": (
-            f"no slope: {len(in_range)} kept period(s) in the fit range "
-            f"{fit_range[0]}-{fit_range[1]} minutes (< 2)")})
+            f"no slope: {len(in_range)} kept period(s) in {span} (< 2)")})
+    elif slope_se is None:
+        warnings.append({"fit_range": list(fit_range), "reason": (
+            f"no slope_se: 2 kept periods in {span} leave no residual degree of freedom")})
     return AggGaussScan(
         rows=rows, slope=slope, slope_se=slope_se,
         fit_range=tuple(fit_range), warnings=warnings,

@@ -10,7 +10,10 @@ eta_t is IID with unit variance under one of three laws: normal, Student-t
 volatility reacts more to positive shocks (inverted asymmetry).
 
 The likelihood is conditional on the first return; the variance recursion is
-seeded with the sample variance of the fitted window.
+seeded with the sample variance of the fitted window.  `filter_volatility`
+returns the (sigma2, eps) arrays of that recursion, and `std_errors` the
+standard errors by parameter name, or None when the Hessian is not finite or
+not positive definite; a fit's ``hessian_ok`` says which.
 """
 
 import json
@@ -29,7 +32,7 @@ DEFAULT_SHAPE = {"normal": None, "student-t": 6.0, "ged": 1.5}
 # Fixed fit settings; a manifest pins them through the recorded version.
 MULTISTART_SEED = 20210915
 _MULTISTARTS = 3
-_MIN_OBS = 100
+MIN_OBS = 100  # returns a fit needs
 _SE_REL_STEP = 1e-4
 _FTOL = 1e-10
 _MAXITER = 500
@@ -88,27 +91,18 @@ class TgarchParams:
 
 
 @dataclass
-class VolatilityPath:
-    sigma2: np.ndarray
-    eps: np.ndarray
-    sigma2_init: float
-
-
-@dataclass
-class StdErrors:
-    values: dict | None
-    hessian_ok: bool
-
-
-@dataclass
 class TgarchFit:
     params: TgarchParams
     std_errors: dict | None
     loglik: float
     converged: bool
     iterations: int
-    hessian_ok: bool
     nobs: int
+
+    @property
+    def hessian_ok(self):
+        """Whether the Hessian gave standard errors (see `std_errors`)."""
+        return self.std_errors is not None
 
 
 def _default_sigma2_init(returns):
@@ -123,8 +117,12 @@ def _default_sigma2_init(returns):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
-def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> VolatilityPath:
-    """Run the residual/variance recursion under fixed parameters."""
+def filter_volatility(params: TgarchParams, returns, sigma2_init=None):
+    """Run the residual/variance recursion under fixed parameters.
+
+    Returns the arrays (sigma2, eps) of `kernels.tgarch_recursion`; sigma2[0]
+    is the presample variance ``sigma2_init``.
+    """
     params.validate()
     r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
@@ -132,7 +130,7 @@ def filter_volatility(params: TgarchParams, returns, sigma2_init=None) -> Volati
     sigma2, eps = kernels.tgarch_recursion(r, params, sigma2_init)
     if not (sigma2.min() > 0 and sigma2.max() < math.inf):
         raise ValueError("conditional variance left the positive finite domain")
-    return VolatilityPath(sigma2=sigma2, eps=eps, sigma2_init=float(sigma2_init))
+    return sigma2, eps
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
@@ -244,7 +242,7 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
     """
     if dist not in DEFAULT_SHAPE:
         raise ValueError(f"unknown distribution {dist!r}")
-    r = finite_array(returns, "returns", _MIN_OBS)
+    r = finite_array(returns, "returns", MIN_OBS)
     sigma2_init = _default_sigma2_init(r)
 
     x0 = _moment_start(r, dist, sigma2_init)
@@ -271,20 +269,18 @@ def fit(returns, dist: str = "student-t") -> TgarchFit:
     params = _params_at(x, units, dist)
     nll = neg_log_likelihood(params, r, sigma2_init)
 
-    se = std_errors(r, params, sigma2_init=sigma2_init)
     return TgarchFit(
         params=params,
-        std_errors=se.values,
+        std_errors=std_errors(r, params, sigma2_init=sigma2_init),
         loglik=-nll,
         converged=bool(best.success),
         iterations=sum(int(res.nit) for res in results),
-        hessian_ok=se.hessian_ok,
         nobs=len(r),
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
-def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> StdErrors:
+def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> dict | None:
     """Asymptotic standard errors from the Hessian of the fit's own
     objective, in the solver's coordinates x = theta / units (mu in units of
     sqrt(sigma2_init), omega in units of sigma2_init).
@@ -293,8 +289,9 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     the step ``_SE_REL_STEP * (|x| + 0.1)``, and the matrix is symmetrized;
     each standard error maps back as units * SE(x), so it scales with the
     returns.  ``free`` restricts the Hessian to a subset of parameter names
-    (the rest held fixed).  A non-finite (an overflowing step, say) or
-    non-positive-definite Hessian yields hessian_ok=False and no values.
+    (the rest held fixed).  Returns the standard errors by name, or None
+    for a non-finite (an overflowing step, say) or non-positive-definite
+    Hessian.
     """
     r = finite_array(returns, "returns", 2)
     if sigma2_init is None:
@@ -313,16 +310,16 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> St
     hess = 0.5 * (hess + hess.T)
 
     if not np.all(np.isfinite(hess)):
-        return StdErrors(values=None, hessian_ok=False)
+        return None
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
-        return StdErrors(values=None, hessian_ok=False)
+        return None
     cov = np.linalg.inv(hess)
     diag = np.diag(cov)
     if np.any(diag <= 0):
-        return StdErrors(values=None, hessian_ok=False)
-    return StdErrors(values=dict(zip(names, units[idx] * np.sqrt(diag))), hessian_ok=True)
+        return None
+    return dict(zip(names, units[idx] * np.sqrt(diag)))
 
 
 def simulate(params: TgarchParams, n: int, seed: int, burn_in: int = 1000) -> np.ndarray:

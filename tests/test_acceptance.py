@@ -116,11 +116,11 @@ def test_criterion_03_indicator_semantics(report):
     params = tgarch.TgarchParams(mu=0.0, c1=0.0, omega=1.0, alpha=0.1,
                                  beta=0.0, gamma=0.2, dist="normal")
     # negative first residual triggers the asymmetry term
-    path_neg = tgarch.filter_volatility(params, [-2.0, 0.0], sigma2_init=1.0)
+    sigma2_neg, _ = tgarch.filter_volatility(params, [-2.0, 0.0], sigma2_init=1.0)
     # positive first residual of the same size does not
-    path_pos = tgarch.filter_volatility(params, [2.0, 0.0], sigma2_init=1.0)
-    err_neg = abs(path_neg.sigma2[1] - 2.2)
-    err_pos = abs(path_pos.sigma2[1] - 1.4)
+    sigma2_pos, _ = tgarch.filter_volatility(params, [2.0, 0.0], sigma2_init=1.0)
+    err_neg = abs(sigma2_neg[1] - 2.2)
+    err_pos = abs(sigma2_pos[1] - 1.4)
     ok = err_neg <= 1e-12 and err_pos <= 1e-12
     report(3, ok, f"sigma^2 after negative shock err {err_neg:.1e}, "
                   f"after positive shock err {err_pos:.1e} (<=1e-12)")

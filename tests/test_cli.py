@@ -318,6 +318,8 @@ class TestErrorHandling:
         ["rolling", "--estimator", "stats", "--window", "0"],
         ["rolling", "--estimator", "stats", "--window", "-3"],
         ["rolling", "--estimator", "tgarch", "--step", "0"],
+        ["rolling", "--estimator", "tgarch", "--window", "50"],
+        ["rolling", "--estimator", "stats", "--window", "3"],
         ["mfdfa", "--s-min", "1"],
         ["mfdfa", "--fit-min", "100", "--fit-max", "20"],
         ["rolling", "--estimator", "mfdfa", "--fit-min", "100", "--fit-max", "20"],
@@ -331,6 +333,7 @@ class TestErrorHandling:
         ["agg-gauss", "--delta-ts", "0,60"],
         ["agg-gauss", "--config", '{"delta_ts":[]}'],
         ["agg-gauss", "--delta-ts", "60,1440", "--period-min", "360", "--period-max", "60"],
+        ["agg-gauss", "--delta-ts", "5,5,60"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_bad_settings_usage_error(self, tmp_path, argv):
         series = tmp_path / "r.csv"
@@ -347,6 +350,36 @@ class TestErrorHandling:
                 run([*argv, "--input", str(path), "-o", str(out)])
             assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "tgarch", "--alpha", "0.5", "--beta", "0.6"],
+        ["simulate", "--model", "tgarch", "--shape", "1.5"],
+        ["simulate", "--model", "tgarch", "--n", "0"],
+        ["simulate", "--model", "gaussian", "--n", "0"],
+        ["simulate", "--model", "cascade", "--levels", "30"],
+        ["join", "--inputs", "{track}"],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_bad_settings_without_input_usage_error(self, tmp_path, capsys, argv):
+        series, track = tmp_path / "r.csv", tmp_path / "track.csv"
+        run(["simulate", "--model", "gaussian", "--n", "600", "--seed", "4", "-o", str(series)])
+        run(["rolling", "--input", str(series), "--estimator", "stats", "--window", "100",
+             "--step", "100", "-o", str(track)])
+        out = tmp_path / "out.csv"
+        # a join is checked before its track is read: a missing one gives the same exit
+        for path in (track, tmp_path / "missing.csv"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run([a.format(track=path) for a in argv] + ["-o", str(out)])
+            assert exc.value.code == 2
+            assert "usage: mfvol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_period_is_named(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["agg-gauss", "--input", str(tmp_path / "missing.csv"), "--delta-ts", "60,5,5",
+                 "-o", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+        assert "--delta-ts lists the period 5 more than once" in capsys.readouterr().err
 
     def test_window_longer_than_series_exit_one(self, tmp_path, capsys):
         series = tmp_path / "r.csv"
@@ -487,6 +520,21 @@ def test_agg_gauss_without_slope_says_why(tmp_path):
     assert summary["warnings"] == [{
         "fit_range": [30, 59],
         "reason": "no slope: 0 kept period(s) in the fit range 30-59 minutes (< 2)"}]
+
+
+def test_agg_gauss_with_two_periods_says_why_slope_se_is_null(tmp_path):
+    """Two kept periods in the fit range give a slope, and a null slope_se
+    with a warning record naming the range."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(_ticks_csv(10, seed=1))
+    assert run(["agg-gauss", "--input", str(ticks), "--delta-ts", "5,60", "--min-nobs", "5",
+                "-o", str(tmp_path / "a.csv")]) == 0
+    summary = json.loads((tmp_path / "a.json").read_text())
+    assert summary["slope"] is not None and summary["slope_se"] is None
+    assert summary["warnings"] == [{
+        "fit_range": [5, 60],
+        "reason": "no slope_se: 2 kept periods in the fit range 5-60 minutes "
+                  "leave no residual degree of freedom"}]
 
 
 def test_ingest_reads_a_pipe(tmp_path, read_fifo):

@@ -43,10 +43,21 @@ class TestParseTicks:
         with pytest.raises(ValueError):
             ingest.parse_ticks("1315922016,0,1.0\n")
 
+    def test_negative_amount_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: negative amount -1.0$"):
+            ingest.parse_ticks("1,2.0,1.0\n2,3.0,-1.0\n")
+
     def test_out_of_order_input_is_sorted(self):
         ticks = ingest.parse_ticks("20,2.0,1.0\n10,1.0,1.0\n")
-        assert not ticks.input_was_sorted
         assert list(ticks.timestamps) == [10, 20]
+        assert list(ticks.prices) == [1.0, 2.0]
+
+    def test_order_of_the_extreme_timestamps(self):
+        # their difference wraps around in int64 arithmetic
+        ticks = ingest.parse_ticks("9223372036854775807,2.0,1.0\n"
+                                   "-9223372036854775808,1.0,1.0\n")
+        assert list(ticks.timestamps) == [-2**63, 2**63 - 1]
+        assert list(ticks.prices) == [1.0, 2.0]
 
     def test_blank_lines_skipped(self):
         ticks = ingest.parse_ticks("1,2.0,1.0\n\n2,3.0,1.0\n")
@@ -82,13 +93,11 @@ class TestResampleLast:
         ticks = ingest.parse_ticks("0,10,1\n5400,12,1\n")
         prices = ingest.resample_last(ticks, 60)
         assert list(prices.prices) == [10.0, 12.0]
-        assert list(prices.observed) == [True, True]
 
     def test_gap_filled_middle_bar(self):
         ticks = ingest.parse_ticks("0,10,1\n9000,12,1\n")  # t=150min
         prices = ingest.resample_last(ticks, 60)
         assert list(prices.prices) == [10.0, 10.0, 12.0]
-        assert list(prices.observed) == [True, False, True]
 
     def test_3day_fixture_brute_force(self, ticks_3day_path):
         with open(ticks_3day_path) as fh:
@@ -108,6 +117,12 @@ class TestResampleLast:
         with pytest.raises(ValueError):
             ingest.resample_last(ingest.parse_ticks(""), 60)
 
+    @pytest.mark.parametrize("delta_t", [0, -60])
+    def test_period_below_one_minute(self, delta_t):
+        ticks = ingest.parse_ticks("0,10,1\n5400,12,1\n")
+        with pytest.raises(ValueError, match="delta_t_minutes must be >= 1"):
+            ingest.resample_last(ticks, delta_t)
+
     def test_duplicate_timestamp_last_wins(self):
         ticks = ingest.parse_ticks("10,5,1\n10,6,1\n")
         prices = ingest.resample_last(ticks, 1)
@@ -116,27 +131,24 @@ class TestResampleLast:
 
 class TestLogReturns:
     def test_unchanged_price(self):
-        series = ingest.PriceSeries(60, 0, np.array([100.0, 100.0]),
-                                    np.array([True, True]))
+        series = ingest.PriceSeries(60, 0, np.array([100.0, 100.0]))
         r = ingest.log_returns(series)
         assert list(r.values) == [0.0]
 
     def test_closed_form(self):
-        series = ingest.PriceSeries(60, 0, np.array([100.0, 100.0 * math.e**0.02]),
-                                    np.array([True, True]))
+        series = ingest.PriceSeries(60, 0, np.array([100.0, 100.0 * math.e**0.02]))
         r = ingest.log_returns(series)
         assert r.values[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_telescoping(self):
-        series = ingest.PriceSeries(60, 0, np.array([100.0, 50.0, 100.0]),
-                                    np.array([True, True, True]))
+        series = ingest.PriceSeries(60, 0, np.array([100.0, 50.0, 100.0]))
         r = ingest.log_returns(series)
         assert r.values[0] == pytest.approx(-100.0 * math.log(2), rel=1e-12)
         assert r.values[1] == pytest.approx(100.0 * math.log(2), rel=1e-12)
         assert r.values.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_too_short(self):
-        series = ingest.PriceSeries(60, 0, np.array([100.0]), np.array([True]))
+        series = ingest.PriceSeries(60, 0, np.array([100.0]))
         with pytest.raises(ValueError):
             ingest.log_returns(series)
 
@@ -165,6 +177,10 @@ class TestFilterOutliers:
             out = ingest.filter_outliers(r, 40.0, mode)
             assert list(out.values) == [1.0, 2.0, 3.0]
             assert out.removed_outliers == []
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown outlier mode 'none'"):
+            ingest.filter_outliers(self.returns, 40.0, "none")
 
     def test_bad_threshold(self):
         for threshold in (-1.0, 0.0, math.nan):
@@ -234,7 +250,7 @@ def _outcome(parse, text):
         return type(exc), getattr(exc, "line_number", None), str(exc)
     if isinstance(result, ingest.TickSeries):
         fields = (result.timestamps, result.prices, result.amounts)
-        flags = (result.input_was_sorted,)
+        flags = ()
     else:
         fields = (result.times, result.values)
         flags = (result.delta_t_minutes,)
@@ -486,7 +502,6 @@ class TestTickCache:
         for name in ("timestamps", "prices", "amounts"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert got.input_was_sorted is want.input_was_sorted
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, monkeypatch, shuffle):
@@ -496,8 +511,9 @@ class TestTickCache:
             lines = path.read_text().splitlines(keepends=True)
             np.random.default_rng(1).shuffle(lines)
             path.write_text("".join(lines))
+        in_file = [int(line.split(",")[0]) for line in path.read_text().splitlines()]
+        assert (in_file != sorted(in_file)) is shuffle
         want = ingest.parse_ticks(path)
-        assert want.input_was_sorted is not shuffle
         self.assert_same(ingest.load_ticks(path), want)
         assert len(entries()) == 1
         monkeypatch.setattr(ingest, "parse_ticks", None)  # a hit parses nothing
@@ -562,8 +578,7 @@ class TestTickCache:
         want = ingest.parse_ticks(path)
         ingest.load_ticks(path)
         (entry,) = entries()
-        arrays = {"t": want.timestamps, "p": want.prices, "a": want.amounts,
-                  "input_was_sorted": True}
+        arrays = {"t": want.timestamps, "p": want.prices, "a": want.amounts}
         if damage == "truncated":
             entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
         elif damage == "garbage":

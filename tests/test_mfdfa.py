@@ -177,8 +177,7 @@ class TestGeneralizedHurst:
 class TestSingularitySpectrum:
     def constant_curve(self, H=0.6):
         q = mfdfa.default_q_grid()
-        return mfdfa.HurstCurve(q, np.full(len(q), H), np.zeros(len(q)),
-                                np.ones(len(q)), (20, 100))
+        return mfdfa.HurstCurve(q, np.full(len(q), H), np.zeros(len(q)), np.ones(len(q)))
 
     def test_f_is_one_at_q0(self):
         spec = mfdfa.singularity_spectrum(self.constant_curve())
@@ -193,7 +192,7 @@ class TestSingularitySpectrum:
 
     def test_nonuniform_grid_error(self):
         q = np.array([-1.0, 0.0, 0.5])
-        curve = mfdfa.HurstCurve(q, np.zeros(3), np.zeros(3), np.ones(3), (20, 100))
+        curve = mfdfa.HurstCurve(q, np.zeros(3), np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="uniform"):
             mfdfa.singularity_spectrum(curve)
 
@@ -400,13 +399,13 @@ def test_fit_line_is_row_wise():
     rng = np.random.default_rng(5)
     x = np.log(np.arange(3, 9, dtype=np.float64))
     y = rng.standard_normal((2, 3, len(x))) + 0.7 * x
-    slope, intercept, se, r2 = fit_line(x, y)
-    assert slope.shape == intercept.shape == se.shape == r2.shape == (2, 3)
+    slope, se, r2 = fit_line(x, y)
+    assert slope.shape == se.shape == r2.shape == (2, 3)
     for i in np.ndindex(2, 3):
         want = plain_line_fit(list(x), list(y[i]))
         assert_rel([slope[i], se[i], r2[i]], want, 1e-12)
     # one row; two points leave no residual degrees of freedom
-    slope, _, se, r2 = fit_line([0.0, 1.0], [1.0, 3.0])
+    slope, se, r2 = fit_line([0.0, 1.0], [1.0, 3.0])
     assert slope == 2.0 and se is None and r2 == 1.0
 
 
@@ -530,6 +529,17 @@ def test_windows_analyze_rejects_as_analyze_does():
         assert_same_outcomes(batch, bad, cfg)
     with pytest.raises(ValueError, match="two-dimensional"):
         mfdfa.analyze_windows(bad[0], mfdfa.MfdfaConfig())
+
+
+def test_windows_run_settings_only_analyze_accepts():
+    # validate rejects a fit range reaching below the grid; analyze fits the
+    # scales inside it, and so every window goes through analyze
+    windows = windows_of(benchmark_like_series(3), 548, 5)
+    cfg = mfdfa.MfdfaConfig(fit_range=(10, 100))
+    with pytest.raises(ValueError, match="fit_range must lie within"):
+        cfg.validate()
+    want = [{k: mfdfa.analyze(w, cfg)[k] for k in ("h2", "dh", "dalpha")} for w in windows]
+    assert mfdfa.analyze_windows(windows, cfg) == want
 
 
 def _imports(module_name, seen):

@@ -223,6 +223,35 @@ class TestAggGaussScan:
         assert any(w["delta_t"] == 1440 for w in scan.warnings)
         assert all(r["delta_t"] != 1440 for r in scan.rows)
 
+    def test_repeated_period_raises(self):
+        ticks = _gaussian_ticks(10, seed=4)
+        with pytest.raises(ValueError, match="period 60 minutes is listed more than once"):
+            stats.agg_gaussianity_scan(ticks, [60, 1440, 60], min_nobs=5)
+
+    def test_two_periods_leave_no_slope_se(self):
+        ticks = _gaussian_ticks(10, seed=4)
+        scan = stats.agg_gaussianity_scan(ticks, [60, 1440], min_nobs=5)
+        assert len(scan.rows) == 2
+        assert scan.slope is not None and scan.slope_se is None
+        assert scan.warnings == [{"fit_range": [60, 1440], "reason": (
+            "no slope_se: 2 kept periods in the fit range 60-1440 minutes "
+            "leave no residual degree of freedom")}]
+
+    def test_period_of_one_bar_warned(self):
+        ticks = _gaussian_ticks(1, seed=6)  # one day from midnight: one daily bar
+        scan = stats.agg_gaussianity_scan(ticks, [60, 1440], min_nobs=5)
+        assert [r["delta_t"] for r in scan.rows] == [60]
+        assert scan.warnings[0] == {"delta_t": 1440, "reason": "fewer than 2 bars"}
+
+    def test_constant_prices_warned(self):
+        n = 600
+        ticks = ingest.TickSeries(60 * np.arange(n, dtype=np.int64), np.full(n, 100.0),
+                                  np.ones(n))
+        scan = stats.agg_gaussianity_scan(ticks, [5, 60], min_nobs=5)
+        assert scan.rows == []
+        assert scan.warnings[:2] == [{"delta_t": 5, "reason": "zero variance"},
+                                     {"delta_t": 60, "reason": "zero variance"}]
+
     def test_rows_ordered_and_csv(self):
         ticks = _gaussian_ticks(400, seed=5)
         scan = stats.agg_gaussianity_scan(ticks, [360, 60], min_nobs=100)

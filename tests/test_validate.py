@@ -31,9 +31,7 @@ def _fit(x):
 
 def _std_errors(x, **kw):
     se = tgarch.std_errors(x, P, **kw)
-    if se.values is None:  # allowed only as a flagged Hessian
-        return not se.hessian_ok
-    return _finite(list(se.values.values()))
+    return se is None or _finite(list(se.values()))
 
 
 def _descriptive(x):
@@ -53,9 +51,9 @@ def _fluctuation(x):
 
 ENTRY_POINTS = {
     "fit": _fit,
-    "filter_volatility": lambda x: _finite(tgarch.filter_volatility(P, x).sigma2),
+    "filter_volatility": lambda x: _finite(*tgarch.filter_volatility(P, x)),
     "filter_volatility_init": lambda x: _finite(
-        tgarch.filter_volatility(P, x, sigma2_init=1.0).sigma2),
+        *tgarch.filter_volatility(P, x, sigma2_init=1.0)),
     "neg_log_likelihood": lambda x: _finite(tgarch.neg_log_likelihood(P, x)),
     "neg_log_likelihood_init": lambda x: _finite(
         tgarch.neg_log_likelihood(P, x, sigma2_init=1.0)),
