@@ -1,5 +1,9 @@
 """Ordinary least-squares slopes, with their standard error and R^2, of
-one line or of a stack of lines sharing one abscissa."""
+one line or of a stack of lines sharing one abscissa.
+
+Every reduction runs along a row on its own, so a row's fit has the same
+bits whatever rows are stacked with it: a stack can be cut to the rows a
+caller reads."""
 
 import numpy as np
 
@@ -22,7 +26,8 @@ def fit_line(x, y):
         raise ValueError("degenerate abscissa: all x equal")
     y_mean = y.mean(axis=-1)
     y_dev = y - y_mean[..., None]
-    slope = (y_dev @ xm) / sxx
+    # einsum, not a gemv product (y_dev @ xm), whose bits depend on the rows
+    slope = np.einsum("...j,j->...", y_dev, xm) / sxx
     # the residuals keep this form: y_dev - slope * xm rounds differently
     intercept = y_mean - slope * x.mean()
     resid = y - (intercept[..., None] + slope[..., None] * x)

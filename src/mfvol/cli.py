@@ -238,6 +238,9 @@ def cmd_agg_gauss(s, inputs, output):
         raise UsageError(f"--delta-ts lists the period {repeated[0]} more than once")
     if None not in fit_range and fit_range[0] > fit_range[1]:
         raise UsageError("--period-min must not exceed --period-max")
+    if s["min_nobs"] < stats.DESCRIPTIVE_MIN_OBS:
+        raise UsageError(f"--min-nobs must be at least {stats.DESCRIPTIVE_MIN_OBS}, "
+                         "the returns a kurtosis needs")
     ticks = ingest.load_ticks(_resolve_input(inputs[0]))
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
                                       min_nobs=s["min_nobs"])

@@ -27,8 +27,9 @@ from . import ingest
 from ._linfit import fit_line
 from ._validate import finite_array
 
-# Bound on the elements of analyze_windows' F_q(s) table per chunk of windows.
-_BLOCK_ELEMS = 1 << 18
+# Bound on the elements of one scale's segment rows (the work buffer of
+# _segment_variances) per chunk of analyze_windows' windows: 59 windows of 548.
+_BLOCK_ELEMS = 1 << 16
 # Bounds that keep a long series' temporaries cache-sized: the elements of
 # one chunk of segment rows (256 KiB) and of one (q, segment) block of
 # exponents (512 KiB).  At s = 16 on 2e5 returns the segments fill 1.6 MB
@@ -138,7 +139,14 @@ def _segment_basis(s: int, order: int) -> np.ndarray:
     return q
 
 
-def _segment_variances(profiles, s, basis):
+def _segment_work(shape, s, k):
+    """Elements of the work buffer _segment_variances takes at scale s, with
+    a basis of k columns, on a stack of profiles of this shape."""
+    rows = min(max(1, _SEGMENT_ELEMS // s), 2 * (shape[-1] // s))
+    return math.prod(shape[:-1]) * rows * (2 * s + k)
+
+
+def _segment_variances(profiles, s, basis, work=None):
     """Detrended variance of every length-s segment, forward then backward.
 
     ``profiles`` is one profile or a (W, n) stack of them; ``basis`` is an
@@ -149,29 +157,47 @@ def _segment_variances(profiles, s, basis):
     The forward then backward segment rows are taken in consecutive chunks
     of _SEGMENT_ELEMS // s rows; a chunk that spans both halves joins its
     two pieces, so when every row fits in one chunk it is the whole
-    concatenation.  The chunks depend on n and s only.
+    concatenation.  The chunks depend on n and s only.  ``work``, a flat
+    buffer of at least _segment_work elements, holds a chunk's joined
+    segments, coefficients and residuals; a caller that runs several scales
+    passes one, so that no chunk allocates them.
     """
     y = np.asarray(profiles, dtype=np.float64)
     n, lead = y.shape[-1], y.shape[:-1]
-    ns = n // s
+    ns, k = n // s, basis.shape[1]
     fwd = y[..., : ns * s].reshape(*lead, ns, s)
     bwd = y[..., n - ns * s :].reshape(*lead, ns, s)
     rows = max(1, _SEGMENT_ELEMS // s)
+    if work is None:
+        work = np.empty(_segment_work(y.shape, s, k))
     out = np.empty((*lead, 2 * ns))
     for lo in range(0, 2 * ns, rows):
         hi = min(lo + rows, 2 * ns)
-        parts = [p for p in (fwd[..., lo:hi, :], bwd[..., max(lo - ns, 0):max(hi - ns, 0), :])
-                 if p.shape[-2]]
-        segs = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+        m = hi - lo
+        size = math.prod(lead) * m * s
+        joined = work[:size].reshape(*lead, m, s)
+        resid = work[size:2 * size].reshape(*lead, m, s)
+        coeffs = work[2 * size:2 * size + size // s * k].reshape(*lead, m, k)
+        cut = min(max(ns - lo, 0), m)  # forward rows in the chunk
+        if cut == m:
+            segs = fwd[..., lo:hi, :]
+        elif cut == 0:
+            segs = bwd[..., lo - ns:hi - ns, :]
+        else:
+            segs = joined
+            segs[..., :cut, :] = fwd[..., lo:, :]
+            segs[..., cut:, :] = bwd[..., :hi - ns, :]
         # One product per profile, shaped as for a profile alone, so a
         # window's variances are bit-for-bit those of the window alone: BLAS
         # round-off depends on where it meets a row.
-        coeffs = segs @ basis
+        np.matmul(segs, basis, out=coeffs)
         # Residuals computed explicitly (not via the Pythagorean identity) so
         # that exactly-fitted segments come out at round-off level, not at the
         # much larger cancellation error of total - fitted.
-        resid = segs - coeffs @ basis.T
-        out[..., lo:hi] = np.einsum("...ij,...ij->...i", resid, resid) / s
+        np.matmul(coeffs, basis.T, out=resid)
+        np.subtract(segs, resid, out=resid)
+        np.einsum("...ij,...ij->...i", resid, resid, out=out[..., lo:hi])
+    out /= s
     return out
 
 
@@ -202,7 +228,7 @@ def _log_sum_moments(half_q, logs, top, buf):
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # NaN where a row keeps no segment
-def _fluctuations(profiles, config: MfdfaConfig):
+def _fluctuations(profiles, config: MfdfaConfig, moment_scales=None):
     """F_q(s) of every row of a (W, n) stack of profiles, all rows at once.
 
     A segment has zero variance when its variance is at most its row's
@@ -210,40 +236,48 @@ def _fluctuations(profiles, config: MfdfaConfig):
     that of the profile: positive moments floor it at zero_tol, negative
     moments and the q = 0 log-average drop it.  Each row comes out as it
     would alone.  Rows must be finite, with max |profile| below 1e150.
-    Returns F, (W, n_q, n_s), and the zero-variance segments per row and
-    scale, (W, n_s).  A row that keeps no segment at some scale gets F = NaN
-    there; its caller fails it.
+    Returns F, (W, n_q, n_m), and the zero-variance segments per row and
+    scale, (W, n_s).  F is taken at the n_m scales that the boolean mask
+    ``moment_scales`` selects (by default all); the segment variances and
+    their count are taken at every scale.  A row that keeps no segment at
+    some scale gets F = NaN there; its caller fails it.
     """
     s_grid = np.asarray(config.s_grid, dtype=int)
     q_grid = np.asarray(config.q_grid, dtype=np.float64)
+    taken = np.ones(len(s_grid), bool) if moment_scales is None else moment_scales
     zero_tol = np.max(np.abs(profiles), axis=1)[:, None] ** 2 * 1e-26
-    values = np.empty((len(profiles), len(q_grid), len(s_grid)))
+    values = np.empty((len(profiles), len(q_grid), np.count_nonzero(taken)))
     excluded = np.empty((len(profiles), len(s_grid)), dtype=int)
     pos, neg, zero = q_grid > 0, q_grid < 0, q_grid == 0
     half_pos, half_neg = 0.5 * q_grid[pos], 0.5 * q_grid[neg]
-    # one exponent buffer for every scale and sign of q
+    # one segment work buffer and one exponent buffer for every scale
+    work = np.empty(max(_segment_work(profiles.shape, int(s), config.detrend_order + 1)
+                        for s in s_grid))
     n_half = max(len(half_pos), len(half_neg))
-    cells = len(profiles) * 2 * (profiles.shape[1] // s_grid)
+    cells = len(profiles) * 2 * (profiles.shape[1] // s_grid[taken])
     buf = np.empty(max(c * _moment_rows(c, n_half) for c in cells))
 
-    for js, s in enumerate(s_grid):
-        fv = _segment_variances(profiles, int(s), _segment_basis(int(s), config.detrend_order))
+    for js, (s, jm) in enumerate(zip(s_grid.tolist(), np.cumsum(taken) - 1)):
+        fv = _segment_variances(profiles, s, _segment_basis(s, config.detrend_order), work)
         dropped = fv <= zero_tol
         excluded[:, js] = np.count_nonzero(dropped, axis=1)
+        if not taken[js]:
+            continue
         n_kept = fv.shape[1] - excluded[:, js]
         log_fv = np.log(np.maximum(fv, zero_tol))
-        values[:, pos, js] = np.exp(
+        values[:, pos, jm] = np.exp(
             (_log_sum_moments(half_pos, log_fv, log_fv.max(axis=1), buf)
              - math.log(fv.shape[1])) / q_grid[pos])
         # ln F^2 = +inf makes a dropped segment's term exactly 0
         log_neg = np.where(dropped, np.inf, log_fv)
         # libm's log and exp, which can differ from NumPy's in the last bit
         log_n = np.array([math.log(k) if k else -math.inf for k in n_kept])
-        values[:, neg, js] = np.exp(
+        values[:, neg, jm] = np.exp(
             (_log_sum_moments(half_neg, log_neg, log_neg.min(axis=1), buf)
              - log_n[:, None]) / q_grid[neg])
-        mean_log = np.where(dropped, 0.0, log_fv).sum(axis=1) / n_kept
-        values[:, zero, js] = np.array([math.exp(0.5 * m) for m in mean_log])[:, None]
+        if zero.any():
+            mean_log = np.where(dropped, 0.0, log_fv).sum(axis=1) / n_kept
+            values[:, zero, jm] = np.array([math.exp(0.5 * m) for m in mean_log])[:, None]
 
     return values, excluded
 
@@ -367,14 +401,15 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
     """analyze's h2, dh and dalpha for every row of a (W, n) stack of return
     windows, or the exception analyze raises on that row.
 
-    The rows go through the pipeline together, in chunks whose F_q(s) table
-    holds at most _BLOCK_ELEMS numbers, and each row's arithmetic is
-    analyze's.  Only the moments the summary reads are computed: q = 2,
-    +-degree_q and their grid neighbours, which alpha's central difference
-    takes; the other rows of F are NaN, and so are h and alpha there.  A row the
-    batch cannot take (non-finite, a profile of 1e150 or more, or a scale
-    with no segment of nonzero variance), and every row of settings analyze
-    rejects, goes through analyze itself.
+    The rows go through the pipeline together, in chunks of windows whose
+    segment rows at one scale hold at most _BLOCK_ELEMS numbers, and each
+    row's arithmetic is analyze's.  Only what the summary reads is computed:
+    the moments q = 2, +-degree_q and their grid neighbours, which alpha's
+    central difference takes, at the scales inside fit_range.  The segment
+    variances, and so the zero-variance check, cover every scale.  A row
+    the batch cannot take (non-finite, a profile of 1e150 or more, or a
+    scale with no segment of nonzero variance), and every row of settings
+    analyze rejects, goes through analyze itself.
     """
     cfg = config or MfdfaConfig()
     windows = np.asarray(windows, dtype=np.float64)
@@ -395,8 +430,10 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
     read = np.unique([i2, i_pos - 1, i_pos, i_pos + 1, i_neg - 1, i_neg, i_neg + 1])
     read = read[(read >= 0) & (read < len(q_grid))]
     moments = dataclasses.replace(cfg, q_grid=q_grid[read])
+    fit = (s_grid >= cfg.fit_range[0]) & (s_grid <= cfg.fit_range[1])
     segments = 2 * (n // s_grid)
-    chunk = max(1, _BLOCK_ELEMS // (len(q_grid) * len(s_grid)))
+    # a window's segment rows at one scale hold at most 2n numbers
+    chunk = max(1, _BLOCK_ELEMS // (2 * n))
     out = []
     for lo in range(0, len(windows), chunk):
         r = np.array(windows[lo:lo + chunk])
@@ -404,13 +441,16 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
             prof = np.cumsum(r - r.mean(axis=1, keepdims=True), axis=1)
             # such a row keeps no segment, so analyze reports it below
             prof[~(np.max(np.abs(prof), axis=1) < 1e150)] = 0.0
-        # F on the whole grid, NaN in the rows the summary does not read
-        values = np.full((len(r), len(q_grid), len(s_grid)), np.nan)
-        values[:, read], excluded = _fluctuations(prof, moments)
+        values, excluded = _fluctuations(prof, moments, fit)
         failed = np.any(excluded == segments, axis=1)
-        curve = generalized_hurst(FluctuationMatrix(q_grid, s_grid, values, excluded),
-                                  cfg.fit_range)
-        h, alpha = curve.h, singularity_spectrum(curve).alpha
+        curve = generalized_hurst(
+            FluctuationMatrix(moments.q_grid, s_grid[fit], values, excluded[:, fit]),
+            cfg.fit_range)
+        # alpha by np.gradient over the whole q grid, as analyze takes it: its
+        # formula depends on whether the grid's steps are all equal
+        h = np.full((len(r), len(q_grid)), np.nan)
+        h[:, read] = curve.h
+        alpha = singularity_spectrum(HurstCurve(q_grid, h, None, None)).alpha
         h2 = h[:, i2]
         dh = h[:, i_neg] - h[:, i_pos]
         dalpha = alpha[:, i_neg] - alpha[:, i_pos]

@@ -192,8 +192,11 @@ def agg_gaussianity_scan(
     the shortest or longest retained period (0 when none is retained).
     With fewer than two retained periods in that range the slope is None,
     with exactly two its standard error is None, and a warning record names
-    the range.  A period listed twice raises ValueError.
+    the range.  A period listed twice, or a min_nobs below
+    DESCRIPTIVE_MIN_OBS, raises ValueError.
     """
+    if min_nobs < DESCRIPTIVE_MIN_OBS:
+        raise ValueError(f"min_nobs must be at least {DESCRIPTIVE_MIN_OBS}, got {min_nobs}")
     delta_ts = sorted(int(d) for d in delta_ts)
     repeated = [a for a, b in zip(delta_ts, delta_ts[1:]) if a == b]
     if repeated:

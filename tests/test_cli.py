@@ -334,6 +334,8 @@ class TestErrorHandling:
         ["agg-gauss", "--config", '{"delta_ts":[]}'],
         ["agg-gauss", "--delta-ts", "60,1440", "--period-min", "360", "--period-max", "60"],
         ["agg-gauss", "--delta-ts", "5,5,60"],
+        ["agg-gauss", "--delta-ts", "5,60,1440", "--min-nobs", "2"],
+        ["agg-gauss", "--delta-ts", "5,60,1440", "--min-nobs", "0"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_bad_settings_usage_error(self, tmp_path, argv):
         series = tmp_path / "r.csv"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -75,14 +76,14 @@ class TestFluctuation:
         class Recording:
             """A basis that records the segment rows of each product."""
 
-            __array_ufunc__ = None  # so that segs @ basis calls __rmatmul__
-
             def __init__(self, basis):
-                self.basis, self.T, self.rows = basis, basis.T, []
+                self.basis, self.T, self.shape, self.rows = basis, basis.T, basis.shape, []
 
-            def __rmatmul__(self, segs):
+            def __array_ufunc__(self, ufunc, method, segs, basis, **kwargs):
+                # segs @ basis and np.matmul(segs, basis, out=...) both land here
+                assert ufunc is np.matmul and method == "__call__" and basis is self
                 self.rows.append(segs.shape[-2])
-                return segs @ self.basis
+                return ufunc(segs, self.basis, **kwargs)
 
         n, s = 40_000, 16
         ns, chunk = n // s, mfdfa._SEGMENT_ELEMS // s
@@ -409,12 +410,22 @@ def test_fit_line_is_row_wise():
     assert slope == 2.0 and se is None and r2 == 1.0
 
 
+def test_fit_line_does_not_depend_on_row_count():
+    # analyze_windows fits only the rows it reads, and analyze fits them all
+    rng = np.random.default_rng(6)
+    x = np.log(np.arange(20, 37, dtype=np.float64))
+    y = np.cumsum(rng.standard_normal((52, 251, 17)), axis=-1)
+    read = [90, 105, 106, 107, 143, 144, 145]
+    for whole, part in zip(fit_line(x, y), fit_line(x, y[:, read])):
+        assert np.array_equal(whole[:, read], part)
+
+
 # --- analyze_windows: every window at once, each as analyze computes it --------
 
 def assert_same_outcomes(batch, windows, cfg):
-    """analyze_windows' outcomes against analyze on each window: h2 and dh
-    within 1e-13, dalpha within 1e-12 (times max(1, |value|)); a failed
-    window has analyze's exception type and message."""
+    """analyze_windows' outcomes against analyze on each window: h2, dh and
+    dalpha bit for bit; a failed window has analyze's exception type and
+    message."""
     assert len(batch) == len(windows)
     for got, w in zip(batch, windows):
         try:
@@ -424,8 +435,7 @@ def assert_same_outcomes(batch, windows, cfg):
             assert f"{type(got).__name__}: {got}" == f"{type(exc).__name__}: {exc}"
             continue
         assert not isinstance(got, Exception), got
-        for key, tol in (("h2", 1e-13), ("dh", 1e-13), ("dalpha", 1e-12)):
-            assert abs(got[key] - want[key]) <= tol * max(1.0, abs(want[key])), key
+        assert got == {key: want[key] for key in ("h2", "dh", "dalpha")}
 
 
 def assert_kernel_matches_fluctuation(windows, cfg):
@@ -492,6 +502,31 @@ def test_windows_match_analyze_on_chunked_lengths():
         assert got == {key: want[key] for key in ("h2", "dh", "dalpha")}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: (benchmark_like_series(1), 548, 1, mfdfa.MfdfaConfig()),
+    lambda: (flat_stretch_series(), 512, 7, mfdfa.MfdfaConfig(detrend_order=1)),
+    lambda: (flat_stretch_series(), 512, 7, mfdfa.MfdfaConfig(degree_q=25.0, fit_range=(16, 40))),
+], ids=["benchmark_like", "flat_stretches", "grid_ends"])
+def test_kernel_restricted_as_analyze_windows_runs_it(make):
+    # the read moments at the fit-range scales, bit for bit fluctuation's;
+    # the zero-variance counts at every scale
+    series, window, step, cfg = make()
+    windows = np.array(windows_of(series, window, step))
+    q_grid, s_grid = cfg.q_grid, cfg.s_grid
+    read = np.unique([mfdfa._grid_index(q_grid, q) + d for q in (cfg.degree_q, -cfg.degree_q)
+                      for d in (-1, 0, 1)] + [mfdfa._grid_index(q_grid, 2.0)])
+    read = read[(read >= 0) & (read < len(q_grid))]
+    fit = (s_grid >= cfg.fit_range[0]) & (s_grid <= cfg.fit_range[1])
+    assert 0 < fit.sum() < len(s_grid)
+    profiles = np.cumsum(windows - windows.mean(axis=1, keepdims=True), axis=1)
+    values, excluded = mfdfa._fluctuations(
+        profiles, dataclasses.replace(cfg, q_grid=q_grid[read]), fit)
+    for k, w in enumerate(windows):
+        fmat = mfdfa.fluctuation(mfdfa.profile(w), cfg)
+        assert np.array_equal(values[k], fmat.values[np.ix_(read, fit)])
+        assert np.array_equal(excluded[k], fmat.excluded)
+
+
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_windows_match_analyze_across_flat_stretches(order):
     # step 7 divides no scale of the default grid
@@ -503,11 +538,37 @@ def test_windows_match_analyze_across_flat_stretches(order):
         assert len({tuple(row) for row in excluded}) > 3
 
 
+def test_windows_match_analyze_with_degree_at_grid_end():
+    # alpha at q = +-25 is a one-sided difference; the fit range leaves the
+    # scales above 40 without moments
+    windows = windows_of(benchmark_like_series(2), 548, 3)
+    cfg = mfdfa.MfdfaConfig(degree_q=25.0, fit_range=(16, 40))
+    assert_same_outcomes(mfdfa.analyze_windows(windows, cfg), windows, cfg)
+
+
 def test_window_without_kept_segment_fails_as_analyze_does():
     r = flat_stretch_series()
     r[200:800] = 0.25  # the windows inside it have a profile of exact zeros
     windows = windows_of(r, 512, 11)
     cfg = mfdfa.MfdfaConfig()
+    batch = mfdfa.analyze_windows(windows, cfg)
+    failed = [str(o) for o in batch if isinstance(o, Exception)]
+    assert failed and set(failed) == {"all segments have zero variance at s=16"}
+    assert len(failed) < len(batch)
+    assert_same_outcomes(batch, windows, cfg)
+
+
+def test_window_failing_below_the_fit_range_fails_as_analyze_does():
+    # returns constant over each block of 16 make every s = 16 segment of a
+    # window that starts on a block a straight line, of zero variance; the
+    # longer segments take in a change of slope.  s = 16 lies below the fit
+    # range, where the batch takes no moments, and such a window still fails
+    rng = np.random.default_rng(21)
+    r = rng.integers(-40, 41, 1600) / 8.0
+    r[320:1280] = np.repeat(rng.integers(-40, 41, 60) / 8.0, 16)
+    windows = windows_of(r, 512, 16)
+    cfg = mfdfa.MfdfaConfig()
+    assert cfg.s_grid[0] == 16 < cfg.fit_range[0]
     batch = mfdfa.analyze_windows(windows, cfg)
     failed = [str(o) for o in batch if isinstance(o, Exception)]
     assert failed and set(failed) == {"all segments have zero variance at s=16"}

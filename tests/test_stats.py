@@ -228,6 +228,13 @@ class TestAggGaussScan:
         with pytest.raises(ValueError, match="period 60 minutes is listed more than once"):
             stats.agg_gaussianity_scan(ticks, [60, 1440, 60], min_nobs=5)
 
+    @pytest.mark.parametrize("min_nobs", [3, 0])
+    def test_min_nobs_below_what_descriptive_needs_raises(self, min_nobs):
+        # a period of 3 returns would pass the filter and then fail descriptive
+        ticks = _gaussian_ticks(10, seed=4)
+        with pytest.raises(ValueError, match=f"min_nobs must be at least 4, got {min_nobs}"):
+            stats.agg_gaussianity_scan(ticks, [60, 1440], min_nobs=min_nobs)
+
     def test_two_periods_leave_no_slope_se(self):
         ticks = _gaussian_ticks(10, seed=4)
         scan = stats.agg_gaussianity_scan(ticks, [60, 1440], min_nobs=5)
