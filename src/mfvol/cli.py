@@ -18,6 +18,7 @@ significant digits; JSON files use Python's shortest round-trip repr.
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -37,6 +38,14 @@ def _int_list(text):
     """Comma-separated integers from a flag, or a list of them from a config file."""
     items = text.split(",") if isinstance(text, str) else text
     return [int(x) for x in items]
+
+
+def finite_float(text):
+    """A float setting: NaN and ±inf are no value any setting accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,10 @@ _REQUIRED = "required, as a flag or in --config"
 
 SETTINGS = (
     Setting("delta_t", int, 1440, ("ingest",), help="bar length in minutes"),
-    Setting("outlier_threshold", float, ingest.OUTLIER_THRESHOLD_DEFAULT, ("ingest",)),
+    Setting("outlier_threshold", finite_float, ingest.OUTLIER_THRESHOLD_DEFAULT, ("ingest",)),
     Setting("outlier_mode", str, "positive-only", ("ingest",),
             choices=("positive-only", "symmetric", "none")),
-    Setting("s0", float, 0.0, ("stats",)),
+    Setting("s0", finite_float, 0.0, ("stats",)),
     Setting("r_bar_mode", str, "abs", ("stats",), choices=("abs", "literal")),
     Setting("volatility_output", str, None, ("stats",),
             help="also write the volatility series to this CSV"),
@@ -96,7 +105,7 @@ SETTINGS = (
     Setting("s_max", int, int(_MFDFA.s_grid.max()), _MFDFA_USERS),
     Setting("n_scales", int, len(_MFDFA.s_grid), _MFDFA_USERS),
     Setting("detrend_order", int, _MFDFA.detrend_order, _MFDFA_USERS),
-    Setting("degree_q", float, _MFDFA.degree_q, _MFDFA_USERS),
+    Setting("degree_q", finite_float, _MFDFA.degree_q, _MFDFA_USERS),
     Setting("estimator", str, None, ("rolling",), choices=("tgarch", "mfdfa", "stats"),
             required=True, help=_REQUIRED),
     Setting("window", int, rolling.RollingConfig.window, ("rolling",)),
@@ -112,14 +121,14 @@ SETTINGS = (
     Setting("n", int, 10000, _SIM),
     Setting("seed", int, 1, _SIM),
     Setting("levels", int, 16, _SIM),
-    Setting("a", float, 0.75, _SIM),
-    Setting("mu", float, 0.0, _SIM),
-    Setting("c1", float, 0.0, _SIM),
-    Setting("omega", float, 0.2, _SIM),
-    Setting("alpha", float, 0.1, _SIM),
-    Setting("beta", float, 0.8, _SIM),
-    Setting("gamma", float, -0.05, _SIM),
-    Setting("shape", float, None, _SIM, help="default: set by --dist"),
+    Setting("a", finite_float, 0.75, _SIM),
+    Setting("mu", finite_float, 0.0, _SIM),
+    Setting("c1", finite_float, 0.0, _SIM),
+    Setting("omega", finite_float, 0.2, _SIM),
+    Setting("alpha", finite_float, 0.1, _SIM),
+    Setting("beta", finite_float, 0.8, _SIM),
+    Setting("gamma", finite_float, -0.05, _SIM),
+    Setting("shape", finite_float, None, _SIM, help="default: set by --dist"),
 )
 
 
@@ -384,18 +393,22 @@ COMMANDS = {
 def build_parser(subcommand=None):
     """The mfvol argument parser.
 
-    Given a ``subcommand`` name, only that subcommand's arguments are added:
-    every subcommand is still listed, but no other can parse its arguments.
+    Given a ``subcommand`` name, only that subcommand's parser is built: it
+    parses an argv whose first item is that name, and its usage lines and
+    errors read as the full parser's.  It cannot print the top-level help,
+    which lists every subcommand, so `main` builds it only when argv starts
+    with the subcommand and every ``-h`` therefore goes to the subcommand.
     """
     parser = argparse.ArgumentParser(prog="mfvol", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the full parser names a missing subcommand by its dest; one subcommand's
+    # parser lists them all in its usage lines, as the full parser does
+    metavar = None if subcommand is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     parsers = {}
-    for name, (func, text, inputs) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if subcommand not in (None, name):
-            continue
-        parsers[name] = p
+    for name in COMMANDS if subcommand is None else (subcommand,):
+        func, text, inputs = COMMANDS[name]
+        p = parsers[name] = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON object of settings keyed by name "
                                         "(flags take precedence)")
         p.add_argument("--output", "-o", required=True)
@@ -416,10 +429,7 @@ def build_parser(subcommand=None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads the first argument that is not an option as the
-    # subcommand; mfvol's own options take no value
-    first = next((a for a in argv if not a.startswith("-")), None)
-    parser = build_parser(first if first in COMMANDS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         settings = resolve(args, _load_config(args.config))

@@ -92,6 +92,9 @@ _INT64_RANGE = range(-2**63, 2**63)  # the timestamps np.loadtxt reads
 # Line breaks of str.splitlines that np.loadtxt reads as field characters.
 _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _CHUNK_CHARS = 1 << 18  # characters per read of a file's line-break check
+# A shorter file is parsed from the check's text: np.loadtxt reads text line
+# by line, slower than a path, but a path's first read imports gzip and more.
+_TEXT_READ_CHARS = 1 << 16
 _COMPRESSED = (".gz", ".bz2", ".xz")
 
 
@@ -100,8 +103,8 @@ def _text_or_path(source):
     otherwise.  A path is read in place only if it names a regular file
     without a compressed suffix: np.loadtxt decompresses a path by its
     suffix, and a pipe (``--input <(zcat ticks.csv.gz)``) can be read only
-    once, while a path is opened for its line-break check and again by
-    np.loadtxt."""
+    once, while a path is opened for its line-break check and, unless it is
+    shorter than _TEXT_READ_CHARS, again by np.loadtxt."""
     if (isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED
             and os.path.isfile(source)):
         return source
@@ -119,35 +122,44 @@ def _chunks(source):
             yield chunk
 
 
-def _header_rows(source, header):
-    """Lines np.loadtxt skips: 1 when the first starts with the word ``header``
-    (in any case), else 0.  None when np.loadtxt and the line loop could split
-    the text into different lines (a lone CR, a form feed, ...)."""
-    skip = 0
-    for k, chunk in enumerate(_chunks(source)):
+def _line_check(source, header):
+    """``(skip, text)`` for np.loadtxt, or None when np.loadtxt and the line
+    loop could split the text into different lines (a lone CR, a form feed,
+    ...).  ``skip`` is 1 when the first line starts with the word ``header``
+    (in any case), else 0.  ``text`` is the check's own text of a file read
+    in one chunk shorter than _TEXT_READ_CHARS, and ``source`` otherwise."""
+    skip, chunks, first = 0, 0, ""
+    for chunks, chunk in enumerate(_chunks(source), start=1):
         if any(c in chunk for c in _OTHER_BREAKS) or (
             "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")
         ):
             return None
-        if k == 0 and header is not None:
-            skip = int(chunk[:len(header)].lower() == header)
-    return skip
+        if chunks == 1:
+            first = chunk
+            if header is not None:
+                skip = int(chunk[:len(header)].lower() == header)
+    if chunks <= 1 and len(first) < _TEXT_READ_CHARS:  # ``first`` is the whole file
+        return skip, first
+    return skip, source
 
 
 def _load_rows(source, dtype, header=None, **kwargs):
     """All rows of ``source`` from one np.loadtxt call, or None when it fails.
 
     ``source`` is text, or a path that np.loadtxt reads in place, in chunks,
-    so that no copy of the whole file is made.  None sends the caller to its
+    so that no copy of the whole file is made.  A path to a file shorter
+    than _TEXT_READ_CHARS is parsed from the text its line-break check read,
+    so the file is opened once.  None sends the caller to its
     line loop, which is the reference: it skips whitespace-only lines, reads
     ``1_000``, and names the line of an error.  Text whose line breaks the
     two could split differently goes to the loop unread, and so does a file
     that is not UTF-8: the loop reads it again and reports the error.
     """
     try:
-        skip = _header_rows(source, header)
-        if skip is None:
+        checked = _line_check(source, header)
+        if checked is None:
             return None
+        skip, source = checked
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             return np.loadtxt(io.StringIO(source) if isinstance(source, str) else source,

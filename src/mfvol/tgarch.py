@@ -63,6 +63,9 @@ class TgarchParams:
             self.shape = DEFAULT_SHAPE[self.dist]
 
     def validate(self):
+        for name, value in self.as_dict().items():
+            if name != "dist" and value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if self.alpha < 0 or self.beta < 0:
@@ -75,6 +78,9 @@ class TgarchParams:
             raise ValueError("student-t shape nu must exceed 2")
         if self.dist == "ged" and not self.shape > 0:
             raise ValueError("ged shape kappa must be positive")
+        if self.dist == "ged" and not 0.0 < kernels._ged_lambda2(self.shape) < math.inf:
+            raise ValueError(f"ged shape kappa {self.shape} has no unit-variance scale "
+                             "in floating point")
 
     def free_names(self):
         names = ["mu", "c1", "omega", "alpha", "beta", "gamma"]

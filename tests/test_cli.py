@@ -208,17 +208,38 @@ class TestRollingAndJoin:
         assert len(out.read_text().splitlines()) > 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.COMMANDS)],
-                         ids=lambda argv: argv[0])
-def test_help_is_the_full_parsers(argv, capsys):
-    """main builds only the named subcommand's arguments; its help is unchanged."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 0
-    shown = capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(argv)
-    assert shown == capsys.readouterr().out
+_FILES = ["--input", "r.csv", "-o", "t.csv"]  # errors come before either is opened
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in cli.COMMANDS),
+    pytest.param([], id="no-arguments"),
+    pytest.param(["bogus"], id="bogus"),
+    pytest.param(["rolling", "--bogus", "1", "--estimator", "stats", *_FILES], id="unknown-flag"),
+    pytest.param(["rolling", *_FILES], id="missing-estimator"),
+    pytest.param(["rolling", "--estimator", "stats", "--window", "0", *_FILES], id="window-0"),
+    pytest.param(["rolling", "--estimator", "stats"], id="missing-input"),
+    pytest.param(["-h", "rolling"], id="h-before-rolling"),
+    pytest.param(["rolling", "-h"], id="h-after-rolling"),
+    pytest.param(["--version"], id="version"),
+    pytest.param(["--version", "rolling"], id="version-before-rolling"),
+], ids=lambda argv: argv[0])
+def test_help_is_the_full_parsers(argv, capsys, monkeypatch, tmp_path):
+    """main builds only the named subcommand's parser when argv starts with
+    it; its help, usage errors and exit codes are the full parser's."""
+    monkeypatch.chdir(tmp_path)
+
+    def shown():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    one = shown()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: full())
+    assert shown() == one
+    assert not (tmp_path / "t.csv").exists()
 
 
 class TestErrorHandling:
@@ -245,10 +266,13 @@ class TestErrorHandling:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_subcommand(self):
+    def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+        # named by its dest: a metavar on the full parser would list every subcommand
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: subcommand\n")
 
     def test_computation_error_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -330,6 +354,12 @@ class TestErrorHandling:
         ["ingest", "--delta-t", "0"],
         ["ingest", "--outlier-threshold", "0"],
         ["ingest", "--outlier-threshold", "nan"],
+        ["ingest", "--outlier-threshold", "inf"],
+        ["ingest", "--outlier-threshold", "nan", "--outlier-mode", "none"],
+        ["ingest", "--config", '{"outlier_threshold": Infinity}'],
+        ["stats", "--s0", "nan"],
+        ["stats", "--s0", "inf"],
+        ["stats", "--config", '{"s0": NaN}'],
         ["agg-gauss", "--delta-ts", "0,60"],
         ["agg-gauss", "--config", '{"delta_ts":[]}'],
         ["agg-gauss", "--delta-ts", "60,1440", "--period-min", "360", "--period-max", "60"],
@@ -356,6 +386,12 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "tgarch", "--alpha", "0.5", "--beta", "0.6"],
         ["simulate", "--model", "tgarch", "--shape", "1.5"],
+        ["simulate", "--model", "tgarch", "--mu", "nan"],
+        ["simulate", "--model", "tgarch", "--c1", "inf"],
+        ["simulate", "--model", "tgarch", "--gamma", "nan"],
+        ["simulate", "--model", "tgarch", "--omega", "inf"],
+        ["simulate", "--model", "tgarch", "--dist", "ged", "--shape", "0.01"],
+        ["simulate", "--model", "tgarch", "--dist", "ged", "--shape", "inf"],
         ["simulate", "--model", "tgarch", "--n", "0"],
         ["simulate", "--model", "gaussian", "--n", "0"],
         ["simulate", "--model", "cascade", "--levels", "30"],

@@ -449,6 +449,72 @@ class TestPathReadMemory:
         assert peak < 1.5 * path.stat().st_size
 
 
+class TestSmallFileReadOnce:
+    """A file shorter than _TEXT_READ_CHARS is parsed from the text its
+    line-break check read; np.loadtxt opens a longer one again, in place."""
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        """The paths np.loadtxt opens (through numpy.lib._datasource)."""
+        seen, real = [], np.lib._datasource.open
+
+        def spy(path, *args, **kwargs):
+            seen.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib._datasource, "open", spy)
+        return seen
+
+    @staticmethod
+    def returns_file(path, n, eol="\n", header=True):
+        values = np.random.default_rng(n).standard_t(3, n)
+        text = ingest.returns_to_csv(
+            ingest.ReturnSeries(1440, 86400 * np.arange(1, n + 1, dtype=np.int64), values))
+        if not header:
+            text = text.split("\n", 1)[1]
+        path.write_text(text.replace("\n", eol), newline="")
+        return values
+
+    def test_small_files_are_opened_once(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a small file was opened again by np.loadtxt")
+
+        monkeypatch.setattr(np.lib._datasource, "open", refuse)
+        returns, ticks = tmp_path / "returns.csv", tmp_path / "ticks.csv"
+        values = self.returns_file(returns, 563)
+        times, prices, amounts = _tick_file(ticks, 500, seed=2)
+        assert ticks.stat().st_size < ingest._TEXT_READ_CHARS
+        assert np.array_equal(ingest.read_returns_csv(returns).values, values)
+        parsed = ingest.parse_ticks(ticks)
+        for got, want in ((parsed.timestamps, times), (parsed.prices, prices),
+                          (parsed.amounts, amounts)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_both_sides_of_the_bound_match_text_reads(self, tmp_path, opens, eol, header):
+        # ≈ 32 characters a row: 1,900 rows lie below the bound, 2,100 above it
+        for n, read_in_place in ((1_900, False), (2_100, True)):
+            path = tmp_path / f"r{n}.csv"
+            values = self.returns_file(path, n, eol, header)
+            # the bound counts characters as a text-mode read gives them (CRLF as one)
+            assert (len(path.read_text()) >= ingest._TEXT_READ_CHARS) == read_in_place
+            opens.clear()
+            from_path = ingest.read_returns_csv(path)
+            assert opens == ([path] if read_in_place else [])
+            from_text = ingest.read_returns_csv(path.read_text())
+            assert np.array_equal(from_path.values, values)
+            for got, want in ((from_path.times, from_text.times),
+                              (from_path.values, from_text.values)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_large_file_is_read_in_place(self, tmp_path, opens):
+        path = tmp_path / "ticks.csv"
+        _tick_file(path, 45_000, seed=5)  # ≈ 2 MB
+        ingest.parse_ticks(path)
+        assert opens == [path]
+
+
 class TestCsvTable:
     """The chunked formatter writes what one format(v, ".17g") a cell writes."""
 

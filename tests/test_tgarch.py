@@ -167,6 +167,27 @@ class TestNegLogLikelihood:
             )
 
 
+class TestValidate:
+    @pytest.mark.parametrize("field", ["mu", "c1", "omega", "alpha", "beta", "gamma", "shape"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        params = tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8, gamma=-0.05, dist="ged")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(params, **{field: value}).validate()
+
+    @pytest.mark.parametrize("kappa", [0.01, 1e-3, 1e-300])
+    def test_ged_shape_without_a_scale_rejected(self, kappa):
+        # the unit-variance scale lambda^2 underflows to 0: every draw would be 0
+        assert kernels._ged_lambda2(kappa) == 0.0
+        params = tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8, dist="ged", shape=kappa)
+        with pytest.raises(ValueError, match="unit-variance scale"):
+            tgarch.simulate(params, 10, seed=1)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.1, 50.0, 1e300])
+    def test_ged_shapes_with_a_scale_pass(self, kappa):
+        tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8, dist="ged", shape=kappa).validate()
+
+
 class TestSimulate:
     def test_iid_variance(self):
         p = normal_params(omega=4.0)
