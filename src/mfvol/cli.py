@@ -206,7 +206,7 @@ def _write_manifest(args, settings, seeds):
 
 
 def _read_returns(path):
-    return ingest.read_returns_csv(_resolve_input(path))
+    return ingest.load_returns(_resolve_input(path))
 
 
 def cmd_ingest(s, inputs, output):

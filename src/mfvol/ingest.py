@@ -1,9 +1,11 @@
 """Tick parsing, fixed-period resampling, log-returns, and cleaning rules.
 
 Input format: headerless UTF-8 CSV, one trade per line, ``unix_seconds,price,amount``
-(the Bitcoincharts dump layout).  Parsed ticks are in timestamp order, and
-`load_ticks` caches their three arrays per file contents.  Prices are
-resampled onto a regular bar grid and returns are percent log differences.
+(the Bitcoincharts dump layout).  Parsed ticks are in timestamp order.
+Prices are resampled onto a regular bar grid and returns are percent log
+differences.  `load_ticks` and `load_returns` keep the parsed arrays of a
+tick file, or of a returns file of 64 KiB or more, in a cache keyed by the
+file's contents, so a file read again is not parsed again.
 """
 
 import io
@@ -198,9 +200,62 @@ def parse_ticks(source) -> TickSeries:
     return _parse_tick_lines(_read_text(source))
 
 
-TICK_CACHE_ENTRIES = 4  # parsed tick files the cache keeps, the most recently used
+TICK_CACHE_ENTRIES = 4  # parsed files each cache folder keeps, the most recently used
 TICK_CACHE_BYTES = 1 << 29  # and the most bytes those entries may hold together
 _HASH_BYTES = 1 << 20
+
+
+class _TickEntry:
+    """Tick files in the cache: their folder, the smallest file cached, the
+    parse an entry stands for, and the conversions between that parse's
+    result and an entry's arrays.  `_ReturnsEntry` is the same for returns
+    files; `_load` reads only these names."""
+
+    folder = "ticks"  # under $XDG_CACHE_HOME/mfvol
+    min_bytes = 0  # a smaller file is parsed and not cached
+    keys = ("t", "p", "a")  # the names of the entry's arrays
+
+    @staticmethod
+    def parse(path):
+        return parse_ticks(path)  # looked up at each call: a patched one is used
+
+    @staticmethod
+    def arrays(ticks):
+        return ticks.timestamps, ticks.prices, ticks.amounts
+
+    @staticmethod
+    def restore(t, p, a):
+        """The parse's result; None when the arrays break one of its guarantees."""
+        valid = (t.dtype == np.int64 and p.dtype == np.float64 and a.dtype == np.float64
+                 and t.ndim == 1 and t.shape == p.shape == a.shape
+                 and np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()
+                 and (t[1:] >= t[:-1]).all())
+        return TickSeries(t, p, a) if valid else None
+
+
+class _ReturnsEntry:
+    """Returns files in the cache, as `_TickEntry` describes tick files."""
+
+    folder = "returns"
+    # A smaller file is opened once and parsed from its text, which is quicker
+    # than a hit: in fresh processes, a 34 KB file parses in 0.9 ms against a
+    # 1.7 ms hit, and a 68 KB file in 3.1 ms against 2.2 ms.
+    min_bytes = _TEXT_READ_CHARS
+    keys = ("t", "v")
+
+    @staticmethod
+    def parse(path):
+        return read_returns_csv(path)
+
+    @staticmethod
+    def arrays(returns):
+        return returns.times, returns.values
+
+    @staticmethod
+    def restore(t, v):
+        valid = (t.dtype == np.int64 and v.dtype == np.float64 and t.ndim == 1
+                 and t.shape == v.shape and np.isfinite(v).all())
+        return _return_series(t, v) if valid else None  # delta_t_minutes as a parse gives it
 
 
 def load_ticks(path) -> TickSeries:
@@ -219,38 +274,57 @@ def load_ticks(path) -> TickSeries:
     not cached; an input that fails to parse raises its usual error and is
     not cached.
     """
-    path = Path(path)
-    folder = _tick_cache_dir()
-    # a pipe is read once, by the parse; a missing file raises there too
-    if folder is None or not _private(folder) or not path.is_file():
-        return parse_ticks(path)
+    return _load(Path(path), _TickEntry)
+
+
+def load_returns(path) -> ReturnSeries:
+    """`read_returns_csv(path)`, parsed once per file contents and then cached.
+
+    The cache is `load_ticks`'s, with its own folder
+    ``$XDG_CACHE_HOME/mfvol/returns``, so a tick entry and a returns entry
+    made from the same bytes never mix.  Only a regular file of at least
+    _TEXT_READ_CHARS bytes is cached: a smaller one is opened once and parsed
+    from its text, which is quicker than a hit.
+    """
+    return _load(Path(path), _ReturnsEntry)
+
+
+def _load(path, kind):
+    """``kind.parse(path)``, from the cache folder of ``kind`` when it holds
+    an entry of the file's contents, and stored there after a parse."""
     state = _file_state(path)
+    folder = _cache_dir(kind.folder)
+    # a pipe is read once, by the parse; a missing file raises there too;
+    # state[2] is the file's size
+    if (state is None or state[2] < kind.min_bytes or folder is None
+            or not _private(folder)):
+        return kind.parse(path)
     try:
         key = _content_key(path)
-    except OSError:  # parse_ticks reports an unreadable input
-        return parse_ticks(path)
+    except OSError:  # the parse reports an unreadable input
+        return kind.parse(path)
     entry = folder / f"{key}.npz"
-    ticks = _read_entry(entry)
-    if ticks is not None:
+    result = _read_entry(entry, kind)
+    if result is not None:
         try:
             os.utime(entry)  # the pruning order is the order of use
         except OSError:
             pass
-        return ticks
-    ticks = parse_ticks(path)
-    if state is not None and _file_state(path) == state:  # not written to meanwhile
-        _write_entry(folder, entry, ticks)
-    return ticks
+        return result
+    result = kind.parse(path)
+    if _file_state(path) == state:  # not written to meanwhile
+        _write_entry(folder, entry, dict(zip(kind.keys, kind.arrays(result))))
+    return result
 
 
-def _tick_cache_dir():
+def _cache_dir(name):
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # the XDG spec ignores a relative path
         home = os.environ.get("HOME")
         if not home:
             return None
         base = os.path.join(home, ".cache")
-    return Path(base, "mfvol", "ticks")
+    return Path(base, "mfvol", name)
 
 
 def _private(folder):
@@ -267,10 +341,13 @@ def _private(folder):
 
 
 def _file_state(path):
-    """What a write to the file changes; None when it cannot be read."""
+    """What a write to the file changes; None when ``path`` is not a regular
+    file or cannot be read."""
     try:
         st = os.stat(path)
     except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
         return None
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
@@ -291,30 +368,25 @@ def _content_key(path):
     return digest.hexdigest()
 
 
-def _read_entry(entry):
-    """The TickSeries a cache entry holds; None when it is missing, cannot be
-    read, or breaks a guarantee of `parse_ticks`."""
+def _read_entry(entry, kind):
+    """The result a cache entry of ``kind`` holds; None when it is missing,
+    cannot be read, or breaks a guarantee of the parse."""
     try:
         with open(entry, "rb") as fh:
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
-            t, p, a = (npz[k] for k in ("t", "p", "a"))
+            arrays = [npz[k] for k in kind.keys]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    valid = (t.dtype == np.int64 and p.dtype == np.float64 and a.dtype == np.float64
-             and t.ndim == 1 and t.shape == p.shape == a.shape
-             and np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()
-             and (t[1:] >= t[:-1]).all())
-    return TickSeries(t, p, a) if valid else None
+    return kind.restore(*arrays)
 
 
-def _write_entry(folder, entry, ticks):
-    """Store ``ticks`` as ``entry``, then keep only the TICK_CACHE_ENTRIES most
-    recently used entries that fit in TICK_CACHE_BYTES.  The entry appears
-    whole or not at all; arrays larger than the bound are not stored, and a
-    cache that cannot be written is left as it is."""
-    arrays = {"t": ticks.timestamps, "p": ticks.prices, "a": ticks.amounts}
+def _write_entry(folder, entry, arrays):
+    """Store ``arrays`` as ``entry``, then keep only the TICK_CACHE_ENTRIES
+    most recently used entries of ``folder`` that fit in TICK_CACHE_BYTES.  The entry
+    appears whole or not at all; arrays larger than the bound are not
+    stored, and a cache that cannot be written is left as it is."""
     if sum(x.nbytes for x in arrays.values()) > TICK_CACHE_BYTES:
         return
     try:

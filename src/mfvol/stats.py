@@ -78,32 +78,47 @@ def jackknife_se(values, statistic) -> float:
 _C2_REL_FLOOR = 1e-6
 
 
+def _replicate_terms(y, t2):
+    """What every delete-one replicate is built from, in O(n): the shift d of
+    the remaining sample's mean (sign flipped), powers of y and d, and each
+    subsample's sum of squares c2.  A c2 below ``_C2_REL_FLOOR * t2`` is set
+    to 0, which leaves that subsample's skewness and kurtosis non-finite."""
+    n = len(y)
+    d = y / (n - 1)
+    # products, not y**3 or d**4: NumPy's general power is ~50x slower
+    y2, d2 = y * y, d * d
+    y3, d3 = y2 * y, d2 * d
+    c2 = (t2 - y2) - 2 * d * y + (n - 1) * d2
+    c2[c2 < _C2_REL_FLOOR * t2] = 0.0
+    return d, y2, d2, y3, d3, c2
+
+
+def _kurtosis_replicates(y, t2, t3, t4, terms):
+    """Delete-one kurtosis replicates from `_replicate_terms`."""
+    n = len(y)
+    d, y2, d2, y3, d3, c2 = terms
+    c4 = (t4 - y2 * y2) + 4 * d * (t3 - y3) + 6 * d2 * (t2 - y2) - 4 * d3 * y + (n - 1) * d2 * d2
+    m2 = c2 / (n - 1)
+    return (c4 / (n - 1)) / m2**2
+
+
 def _jackknife_moment_replicates(mean, y, t2, t3, t4):
     """Delete-one (mean, sd, skewness, kurtosis) replicates in O(n).
 
     From the centred sample y = x - mean and its power sums t2, t3, t4, so
     each delete-one moment is exact; equivalent to looping np.delete but
-    usable at n ~ 1e5.  A subsample whose c2 falls below ``_C2_REL_FLOOR *
-    t2`` is constant up to rounding: its c2 is set to 0, which leaves its
-    skewness and kurtosis replicates non-finite.
+    usable at n ~ 1e5.
     """
     n = len(y)
-    d = y / (n - 1)  # shift of the remaining sample's mean, sign flipped
-    # products, not y**3 or d**4: NumPy's general power is ~50x slower
-    y2, d2 = y * y, d * d
-    y3, d3 = y2 * y, d2 * d
-
-    c2 = (t2 - y2) - 2 * d * y + (n - 1) * d2
-    c2[c2 < _C2_REL_FLOOR * t2] = 0.0
+    terms = _replicate_terms(y, t2)
+    d, y2, d2, y3, d3, c2 = terms
     c3 = (t3 - y3) + 3 * d * (t2 - y2) - 3 * d2 * y + (n - 1) * d3
-    c4 = (t4 - y2 * y2) + 4 * d * (t3 - y3) + 6 * d2 * (t2 - y2) - 4 * d3 * y + (n - 1) * d2 * d2
 
     m2 = c2 / (n - 1)
     mean_i = mean - d
     sd_i = np.sqrt(c2 / (n - 2))
     skew_i = (c3 / (n - 1)) / m2**1.5
-    kurt_i = (c4 / (n - 1)) / m2**2
-    return mean_i, sd_i, skew_i, kurt_i
+    return mean_i, sd_i, skew_i, _kurtosis_replicates(y, t2, t3, t4, terms)
 
 
 def _se_from_replicates(reps):
@@ -115,13 +130,14 @@ def _se_from_replicates(reps):
     return se
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # rejected below
-def descriptive(values) -> DescriptiveStats:
-    """Mean, SD, kurtosis, skewness with delete-one jackknife errors."""
+def _moments(values):
+    """``(mean, y, (t2, t3, t4), skewness, kurtosis)`` of a checked sample:
+    its centred values y = x - mean and their power sums.  Called with
+    NumPy's overflow warnings off: an overflow shows as a non-finite moment,
+    rejected here."""
     x = finite_array(values, "values", DESCRIPTIVE_MIN_OBS)
     n = len(x)
-    # one set of centred power sums gives the moments and the jackknife; an
-    # overflow shows as a non-finite moment, rejected just below
+    # one set of centred power sums gives the moments and the jackknife
     mean = float(x.sum()) / n
     y = x - mean
     y2 = y * y
@@ -142,12 +158,19 @@ def descriptive(values) -> DescriptiveStats:
             f"moments out of floating-point range: kurtosis {kurtosis!r} and "
             f"skewness {skewness!r} are not finite or violate Pearson's inequality"
         )
+    return mean, y, (t2, t3, t4), skewness, kurtosis
 
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # rejected in _moments
+def descriptive(values) -> DescriptiveStats:
+    """Mean, SD, kurtosis, skewness with delete-one jackknife errors."""
+    mean, y, sums, skewness, kurtosis = _moments(values)
+    n = len(y)
     # _se_from_replicates rejects the non-finite replicate of a constant subsample
-    mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(mean, y, t2, t3, t4)
+    mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(mean, y, *sums)
     return DescriptiveStats(
         mean=mean,
-        sd=math.sqrt(t2 / (n - 1)),
+        sd=math.sqrt(sums[0] / (n - 1)),
         kurtosis=float(kurtosis),
         skewness=float(skewness),
         nobs=n,
@@ -156,6 +179,15 @@ def descriptive(values) -> DescriptiveStats:
         se_kurtosis=_se_from_replicates(kurt_r),
         se_skewness=_se_from_replicates(skew_r),
     )
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # as in descriptive
+def _kurtosis_with_se(values):
+    """``(kurtosis, se_kurtosis)`` as `descriptive` gives them, bit for bit,
+    without the other moments' replicates."""
+    _, y, sums, _, kurtosis = _moments(values)
+    reps = _kurtosis_replicates(y, *sums, _replicate_terms(y, sums[0]))
+    return float(kurtosis), _se_from_replicates(reps)
 
 
 def volatility_series(returns, s0: float = 0.0, r_bar_mode: str = "abs") -> VolatilitySeries:
@@ -214,18 +246,11 @@ def agg_gaussianity_scan(
             )
             continue
         try:
-            d = descriptive(r.values)
+            kurtosis, se = _kurtosis_with_se(r.values)
         except DegenerateSampleError:
             warnings.append({"delta_t": dt, "reason": "zero variance"})
             continue
-        rows.append(
-            {
-                "delta_t": dt,
-                "kurtosis": d.kurtosis,
-                "se_kurtosis": d.se_kurtosis,
-                "nobs": d.nobs,
-            }
-        )
+        rows.append({"delta_t": dt, "kurtosis": kurtosis, "se_kurtosis": se, "nobs": len(r)})
 
     kept = [r["delta_t"] for r in rows] or [0]
     lo, hi = (None, None) if fit_range is None else fit_range

@@ -331,7 +331,8 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> di
 def simulate(params: TgarchParams, n: int, seed: int, burn_in: int = 1000) -> np.ndarray:
     """Generate n returns from the model after discarding a burn-in.
 
-    Deterministic per seed (NumPy PCG64 generator).
+    Deterministic per seed (NumPy PCG64 generator).  A path that leaves the
+    floating-point range (an overflowing variance, say) raises ValueError.
     """
     params.validate()
     if n < 1:
@@ -355,13 +356,18 @@ def simulate(params: TgarchParams, n: int, seed: int, burn_in: int = 1000) -> np
     e_prev = 0.0
     r_prev = params.mu / (1.0 - params.c1) if abs(params.c1) < 1 else 0.0
     out = np.empty(total)
-    for t in range(total):
+    # Python floats: an overflow gives inf or nan, with no NumPy warning
+    for t, eta_t in enumerate(eta.tolist()):
         coef = params.alpha + (params.gamma if e_prev < 0.0 else 0.0)
         s2 = params.omega + coef * e_prev * e_prev + params.beta * s2
-        e = math.sqrt(s2) * eta[t]
+        e = math.sqrt(s2) * eta_t
         r_t = params.mu + params.c1 * r_prev + e
         out[t] = r_t
         e_prev, r_prev = e, r_t
+    if not np.isfinite(out).all():
+        t = int(np.argmin(np.isfinite(out)))
+        raise ValueError(f"simulated returns leave the floating-point range at step {t} "
+                         f"of {total} (burn-in included)")
     return out[burn_in:]
 
 

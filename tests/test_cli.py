@@ -338,6 +338,21 @@ class TestErrorHandling:
         assert report["error"] == "ValueError"
         assert report["subcommand"] == argv[0]
 
+    def test_overflowing_simulation_one_json_error(self, tmp_path):
+        # a variance that overflows: no NumPy warning, no output, one JSON report
+        out = tmp_path / "r.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "mfvol.cli", "simulate", "--model",
+             "tgarch", "--omega", "1e307", "--n", "5", "-o", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        report = json.loads(proc.stderr)
+        assert report["error"] == "ValueError"
+        assert report["subcommand"] == "simulate"
+        assert "floating-point range" in report["message"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["rolling", "--estimator", "stats", "--window", "0"],
         ["rolling", "--estimator", "stats", "--window", "-3"],
@@ -618,6 +633,42 @@ def test_tick_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypa
     assert len(list(tick_cache_home.glob("mfvol/ticks/*.npz"))) == 1
 
     monkeypatch.setattr(ingest, "parse_ticks", None)  # a warm cache parses nothing
+    assert outputs("warm") == reference
+
+
+def test_returns_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypatch):
+    """The returns-reading subcommands write the same bytes, manifests
+    included, with no cache, a cold cache and a warm one, on a returns file
+    large enough to be cached."""
+    series = tmp_path / "r.csv"
+    assert run(["simulate", "--model", "gaussian", "--n", "3000", "--seed", "4",
+                "-o", str(series)]) == 0
+    assert series.stat().st_size >= ingest._TEXT_READ_CHARS
+    pipeline = [
+        ["stats", "--input", str(series), "-o", "stats.json"],
+        ["tgarch", "--input", str(series), "--dist", "normal", "-o", "fit.json"],
+        ["mfdfa", "--input", str(series), *_MFDFA_FLAGS, "-o", "mf"],
+        ["rolling", "--input", str(series), "--estimator", "mfdfa", *_MFDFA_FLAGS,
+         "--window", "1000", "--step", "500", "-o", "track.csv"],
+    ]
+
+    def outputs(name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        for argv in pipeline:
+            assert run(argv) == 0
+        return {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+    with monkeypatch.context() as no_cache:
+        no_cache.delenv("XDG_CACHE_HOME")
+        no_cache.delenv("HOME", raising=False)
+        reference = outputs("none")
+    assert not any(tick_cache_home.iterdir())
+    assert outputs("cold") == reference
+    assert len(list(tick_cache_home.glob("mfvol/returns/*.npz"))) == 1
+
+    monkeypatch.setattr(ingest, "read_returns_csv", None)  # a warm cache parses nothing
     assert outputs("warm") == reference
 
 

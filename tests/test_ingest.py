@@ -3,6 +3,8 @@ import os
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -555,60 +557,145 @@ class TestPipeInput:
         assert got.delta_t_minutes == want.delta_t_minutes == 1440
 
 
+def _returns_file(path, n, seed):
+    """``n`` returns at full precision, under the header, written to ``path``."""
+    values = np.random.default_rng(seed).standard_t(3, n)
+    path.write_text(ingest.returns_to_csv(
+        ingest.ReturnSeries(5, 300 * np.arange(1, n + 1, dtype=np.int64), values)))
+
+
+# each breaks one guarantee of the parse in an entry's arrays
+_SHARED_DAMAGES = {
+    "dtype": lambda a: {**a, "t": a["t"].astype(np.float64)},
+    "ndim": lambda a: {k: v.reshape(-1, 2) for k, v in a.items()},
+}
+_TICK_DAMAGES = {
+    "price": lambda a: {**a, "p": np.where(np.arange(len(a["p"])) == 9, -1.0, a["p"])},
+    "order": lambda a: {**a, "t": a["t"][::-1].copy()},
+    "missing": lambda a: {k: v for k, v in a.items() if k != "a"},
+    **_SHARED_DAMAGES,
+}
+_RETURNS_DAMAGES = {
+    "value": lambda a: {**a, "v": np.where(np.arange(len(a["v"])) == 9, np.nan, a["v"])},
+    "shape": lambda a: {**a, "v": a["v"][:-1]},
+    "missing": lambda a: {k: v for k, v in a.items() if k != "v"},
+    **_SHARED_DAMAGES,
+}
+
+
+@dataclass(frozen=True)
+class _CacheKind:
+    """What `TestTickCache` needs of one kind of cached file."""
+
+    load: str  # names in ingest, looked up at each call: a test may patch them
+    parse: str
+    entry: type  # ingest's _TickEntry or _ReturnsEntry
+    write: Callable  # (path, n, seed): a generated file of n rows
+    header: str  # the first line of a file, before its rows
+    third: str  # the third field of a row that `write_values` writes
+    column: str  # the result's field that `write_values` sets
+    pad: int  # rows added before a test's own, so that a file is cached
+    row_bytes: int  # bytes of an entry's arrays per row
+    error: type  # what a malformed row raises
+    damages: dict  # name: entry arrays -> arrays that break a guarantee of the parse
+
+
+_TICK_CACHE = _CacheKind("load_ticks", "parse_ticks", ingest._TickEntry, _tick_file, "",
+                         "1", "prices", 0, 24, ingest.TickParseError, _TICK_DAMAGES)
+# 5,000 rows of 10.5 bring a returns file above _TEXT_READ_CHARS
+_RETURNS_CACHE = _CacheKind("load_returns", "read_returns_csv", ingest._ReturnsEntry,
+                            _returns_file, "timestamp,value,flag\n", "ok", "values", 5_000,
+                            16, ValueError, _RETURNS_DAMAGES)
+
+
 class TestTickCache:
-    """`load_ticks`: `parse_ticks` behind a cache keyed by the file's contents."""
+    """`load_ticks`: `parse_ticks` behind a cache keyed by the file's contents.
+    `TestReturnsCache` runs every test on `load_returns` too."""
+
+    kind = _TICK_CACHE
+
+    def pytest_generate_tests(self, metafunc):
+        if "damage" in metafunc.fixturenames:
+            metafunc.parametrize("damage", ["truncated", "garbage", "npy", *self.kind.damages])
 
     @pytest.fixture
     def entries(self, tick_cache_home):
-        folder = tick_cache_home / "mfvol" / "ticks"
+        folder = tick_cache_home / "mfvol" / self.kind.entry.folder
         return lambda: sorted(folder.glob("*")) if folder.exists() else []
+
+    def load(self, path):
+        return getattr(ingest, self.kind.load)(path)
+
+    def parse(self, path):
+        return getattr(ingest, self.kind.parse)(path)
+
+    def write(self, path, n, seed):
+        """A generated file of ``n`` rows, plus the kind's padding rows."""
+        self.kind.write(path, n + self.kind.pad, seed)
+        assert self.kind.pad == 0 or path.stat().st_size >= ingest._TEXT_READ_CHARS
+
+    def write_values(self, path, tail):
+        """A file whose rows carry ``tail`` after the kind's padding rows of 10.5."""
+        values = [10.5] * self.kind.pad + list(tail)
+        path.write_text(self.kind.header + "".join(
+            f"{60 * i},{v},{self.kind.third}\n" for i, v in enumerate(values, start=1)))
+        assert self.kind.pad == 0 or path.stat().st_size >= ingest._TEXT_READ_CHARS
+
+    def tail(self, result):
+        return getattr(result, self.kind.column)[self.kind.pad:].tolist()
 
     @staticmethod
     def assert_same(got, want):
-        for name in ("timestamps", "prices", "amounts"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert type(got) is type(want)
+        for name, b in vars(want).items():
+            a = getattr(got, name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert a == b
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, monkeypatch, shuffle):
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 2_000, seed=7)
-        if shuffle:  # out of order: the entry holds the sorted arrays
+        path = tmp_path / "data.csv"
+        self.write(path, 2_000, seed=7)
+        head = 1 if self.kind.header else 0
+        if shuffle:  # out of order: a tick entry holds the sorted arrays
             lines = path.read_text().splitlines(keepends=True)
-            np.random.default_rng(1).shuffle(lines)
-            path.write_text("".join(lines))
-        in_file = [int(line.split(",")[0]) for line in path.read_text().splitlines()]
+            rows = lines[head:]
+            np.random.default_rng(1).shuffle(rows)
+            path.write_text("".join(lines[:head] + rows))
+        in_file = [int(line.split(",")[0]) for line in path.read_text().splitlines()[head:]]
         assert (in_file != sorted(in_file)) is shuffle
-        want = ingest.parse_ticks(path)
-        self.assert_same(ingest.load_ticks(path), want)
+        want = self.parse(path)
+        self.assert_same(self.load(path), want)
         assert len(entries()) == 1
-        monkeypatch.setattr(ingest, "parse_ticks", None)  # a hit parses nothing
-        self.assert_same(ingest.load_ticks(str(path)), want)
+        monkeypatch.setattr(ingest, self.kind.parse, None)  # a hit parses nothing
+        self.assert_same(self.load(str(path)), want)
 
     def test_pipe_is_parsed_and_not_cached(self, tmp_path, entries, read_fifo):
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 20_000, seed=5)
-        got = read_fifo(path.read_text(), ingest.load_ticks)
-        self.assert_same(got, ingest.parse_ticks(path))
+        path = tmp_path / "data.csv"
+        self.write(path, 20_000, seed=5)
+        got = read_fifo(path.read_text(), getattr(ingest, self.kind.load))
+        self.assert_same(got, self.parse(path))
         assert entries() == []
 
     def test_edited_file_of_the_same_size_and_mtime_misses(self, tmp_path, entries):
-        path = tmp_path / "ticks.csv"
-        path.write_text("1,10.5,1\n2,11.5,1\n")
+        path = tmp_path / "data.csv"
+        self.write_values(path, [10.5, 11.5])
         stat = path.stat()
-        assert ingest.load_ticks(path).prices.tolist() == [10.5, 11.5]
-        path.write_text("1,10.5,1\n2,12.5,1\n")
+        assert self.tail(self.load(path)) == [10.5, 11.5]
+        self.write_values(path, [10.5, 12.5])
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert path.stat().st_size == stat.st_size
-        assert ingest.load_ticks(path).prices.tolist() == [10.5, 12.5]
+        assert self.tail(self.load(path)) == [10.5, 12.5]
         assert len(entries()) == 2
 
     @pytest.mark.parametrize("change", ["mfvol_version", "numpy_version", "python_version",
                                         "module_bytes"])
     def test_other_parsing_code_misses(self, tmp_path, entries, monkeypatch, change):
-        path = tmp_path / "ticks.csv"
-        path.write_text("1,10.5,1\n")
-        ingest.load_ticks(path)
+        path = tmp_path / "data.csv"
+        self.write_values(path, [10.5])
+        self.load(path)
         if change == "mfvol_version":
             monkeypatch.setattr(mfvol, "__version__", mfvol.__version__ + ".post1")
         elif change == "numpy_version":
@@ -619,53 +706,44 @@ class TestTickCache:
             edited = tmp_path / "ingest.py"
             edited.write_bytes(Path(ingest.__file__).read_bytes() + b"\n")
             monkeypatch.setattr(ingest, "__file__", str(edited))
-        ingest.load_ticks(path)
+        self.load(path)
         assert len(entries()) == 2
 
     def test_file_written_while_parsed_is_not_cached(self, tmp_path, entries, monkeypatch):
-        path = tmp_path / "ticks.csv"
-        path.write_text("1,10.5,1\n")
-        parse = ingest.parse_ticks
+        path = tmp_path / "data.csv"
+        self.write_values(path, [10.5])
+        parse = getattr(ingest, self.kind.parse)
 
         def parse_then_edit(source):
-            ticks = parse(source)
-            path.write_text("1,12.5,1\n")
-            return ticks
+            result = parse(source)
+            self.write_values(path, [12.5])
+            return result
 
-        monkeypatch.setattr(ingest, "parse_ticks", parse_then_edit)
-        assert ingest.load_ticks(path).prices.tolist() == [10.5]
+        monkeypatch.setattr(ingest, self.kind.parse, parse_then_edit)
+        assert self.tail(self.load(path)) == [10.5]
         assert entries() == []
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "price", "dtype",
-                                        "order", "missing"])
     def test_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, entries, damage):
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 500, seed=8)
-        want = ingest.parse_ticks(path)
-        ingest.load_ticks(path)
+        path = tmp_path / "data.csv"
+        self.write(path, 500, seed=8)
+        want = self.parse(path)
+        self.load(path)
         (entry,) = entries()
-        arrays = {"t": want.timestamps, "p": want.prices, "a": want.amounts}
+        arrays = dict(zip(self.kind.entry.keys, self.kind.entry.arrays(want)))
         if damage == "truncated":
             entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
         elif damage == "garbage":
             entry.write_bytes(b"not a cache entry")
         elif damage == "npy":
             with open(entry, "wb") as fh:
-                np.save(fh, want.prices)
+                np.save(fh, arrays[self.kind.entry.keys[1]])
         else:
-            if damage == "price":
-                arrays["p"] = np.where(np.arange(500) == 9, -1.0, want.prices)
-            elif damage == "dtype":
-                arrays["t"] = want.timestamps.astype(np.float64)
-            elif damage == "order":
-                arrays["t"] = want.timestamps[::-1].copy()
-            else:
-                del arrays["a"]
+            arrays = self.kind.damages[damage](arrays)
             with open(entry, "wb") as fh:
                 np.savez(fh, **arrays)
-        self.assert_same(ingest.load_ticks(path), want)
+        self.assert_same(self.load(path), want)
         assert entries() == [entry]
-        self.assert_same(ingest._read_entry(entry), want)
+        self.assert_same(ingest._read_entry(entry, self.kind.entry), want)
 
     @pytest.mark.parametrize("where", ["file_as_cache_home", "file_as_cache_dir",
                                        "no_home"])
@@ -676,22 +754,22 @@ class TestTickCache:
             (tmp_path / "file").write_text("")
         elif where == "file_as_cache_dir":
             (tick_cache_home / "mfvol").mkdir()
-            (tick_cache_home / "mfvol" / "ticks").write_text("")
+            (tick_cache_home / "mfvol" / self.kind.entry.folder).write_text("")
         else:
             monkeypatch.delenv("XDG_CACHE_HOME")
             monkeypatch.delenv("HOME", raising=False)
-            assert ingest._tick_cache_dir() is None
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 200, seed=9)
+            assert ingest._cache_dir(self.kind.entry.folder) is None
+        path = tmp_path / "data.csv"
+        self.write(path, 200, seed=9)
         for _ in range(2):
-            self.assert_same(ingest.load_ticks(path), ingest.parse_ticks(path))
+            self.assert_same(self.load(path), self.parse(path))
 
     @pytest.mark.parametrize("flaw", ["group_writable", "world_readable", "other_owner"])
     def test_folder_open_to_others_is_not_used(self, tmp_path, tick_cache_home, entries,
                                                monkeypatch, flaw):
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 200, seed=9)
-        want = ingest.load_ticks(path)
+        path = tmp_path / "data.csv"
+        self.write(path, 200, seed=9)
+        want = self.load(path)
         (entry,) = entries()
         before = entry.stat().st_mtime_ns
         folder = entry.parent
@@ -701,49 +779,99 @@ class TestTickCache:
         else:
             folder.chmod(0o720 if flaw == "group_writable" else 0o704)
         parses = []
-        parse = ingest.parse_ticks
-        monkeypatch.setattr(ingest, "parse_ticks", lambda src: parses.append(src) or parse(src))
+        parse = getattr(ingest, self.kind.parse)
+        monkeypatch.setattr(ingest, self.kind.parse,
+                            lambda src: parses.append(src) or parse(src))
         other = tmp_path / "other.csv"
-        _tick_file(other, 100, seed=10)
-        self.assert_same(ingest.load_ticks(path), want)
-        ingest.load_ticks(other)
+        self.write(other, 100, seed=10)
+        self.assert_same(self.load(path), want)
+        self.load(other)
         assert parses == [path, other]  # no entry is read, and none is written
         assert entries() == [entry] and entry.stat().st_mtime_ns == before
 
     def test_keeps_the_most_recently_used_entries(self, tmp_path, entries):
-        paths = [tmp_path / f"ticks{k}.csv" for k in range(ingest.TICK_CACHE_ENTRIES + 2)]
+        paths = [tmp_path / f"data{k}.csv" for k in range(ingest.TICK_CACHE_ENTRIES + 2)]
         for k, path in enumerate(paths):
-            path.write_text(f"{k},10.5,1\n")
+            self.write(path, 1, seed=k)
         n = ingest.TICK_CACHE_ENTRIES
         for path in [*paths[:n], paths[0], *paths[n:]]:  # the hit on paths[0] is a use
-            ingest.load_ticks(path)
+            self.load(path)
         assert {e.name for e in entries()} == {
             ingest._content_key(p) + ".npz" for p in [paths[0], *paths[3:]]}
 
     def test_entries_fit_in_the_byte_bound(self, tmp_path, entries, monkeypatch):
-        paths = [tmp_path / f"ticks{k}.csv" for k in range(3)]
+        paths = [tmp_path / f"data{k}.csv" for k in range(3)]
         for k, (n, path) in enumerate(zip([100, 100, 300], paths)):
-            _tick_file(path, n, seed=20 + k)
-        monkeypatch.setattr(ingest, "TICK_CACHE_BYTES", 24 * 250)  # 250 ticks
+            self.write(path, n, seed=20 + k)
+        # 250 rows above the padding
+        monkeypatch.setattr(ingest, "TICK_CACHE_BYTES", self.kind.row_bytes * (self.kind.pad + 250))
         names = [ingest._content_key(path) + ".npz" for path in paths]
-        ingest.load_ticks(paths[0])
-        ingest.load_ticks(paths[2])  # 300 ticks: not stored, and nothing is dropped
+        self.load(paths[0])
+        self.load(paths[2])  # 300 rows: not stored, and nothing is dropped
         assert [e.name for e in entries()] == [names[0]]
-        ingest.load_ticks(paths[1])  # two entries and their headers would not fit
+        self.load(paths[1])  # two entries and their headers would not fit
         assert [e.name for e in entries()] == [names[1]]
 
     def test_malformed_file_raises_and_is_not_cached(self, tmp_path, entries):
-        path = tmp_path / "ticks.csv"
-        path.write_text("1,10.0,1\n2,11.0,1\n3,abc,1\n")
+        path = tmp_path / "data.csv"
+        self.write_values(path, ["10.0", "11.0", "abc"])
+        line = (1 if self.kind.header else 0) + self.kind.pad + 3
         for _ in range(2):
-            with pytest.raises(ingest.TickParseError, match="line 3"):
-                ingest.load_ticks(path)
+            with pytest.raises(self.kind.error, match=f"line {line}"):
+                self.load(path)
         assert entries() == []
 
     def test_hit_memory_is_about_the_arrays(self, tmp_path):
-        path = tmp_path / "ticks.csv"
-        _tick_file(path, 45_000, seed=5)  # ≈ 2 MB
-        ingest.load_ticks(path)
-        ticks, peak = TestPathReadMemory.peak(ingest.load_ticks, path)
-        assert len(ticks) == 45_000
+        path = tmp_path / "data.csv"
+        self.write(path, 45_000, seed=5)  # ≈ 2 MB of ticks
+        self.load(path)
+        result, peak = TestPathReadMemory.peak(getattr(ingest, self.kind.load), path)
+        assert len(result) == 45_000 + self.kind.pad
         assert peak < 1.5 * path.stat().st_size
+
+
+class TestReturnsCache(TestTickCache):
+    """`load_returns`: `read_returns_csv` behind the same cache, in its own
+    folder, for files of at least _TEXT_READ_CHARS bytes."""
+
+    kind = _RETURNS_CACHE
+
+    @staticmethod
+    def near_the_bound(path, size):
+        """A returns file of ``size`` bytes, all of its values 10.5."""
+        rows = ["timestamp,value,flag\n"]
+        total = len(rows[0])
+        while total < size - 40:
+            rows.append(f"{60 * len(rows)},10.5,ok\n")
+            total += len(rows[-1])
+        rows[-1] = rows[-1].replace("10.5", "10.5" + "0" * (size - total))
+        path.write_text("".join(rows))
+        assert path.stat().st_size == size
+
+    def test_only_files_from_the_bound_up_are_cached(self, tmp_path, entries, monkeypatch):
+        key = ingest._content_key
+        keyed = []
+        monkeypatch.setattr(ingest, "_content_key", lambda p: keyed.append(p) or key(p))
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        self.near_the_bound(small, ingest._TEXT_READ_CHARS - 1)
+        self.near_the_bound(large, ingest._TEXT_READ_CHARS)
+        self.assert_same(ingest.load_returns(small), ingest.read_returns_csv(small))
+        assert keyed == [] and entries() == []
+        self.assert_same(ingest.load_returns(large), ingest.read_returns_csv(large))
+        assert keyed == [large] and len(entries()) == 1
+
+    def test_entries_of_the_same_bytes_stay_apart(self, tmp_path, tick_cache_home,
+                                                  monkeypatch):
+        # three fields a row: a tick file, and a returns file without a flag
+        path = tmp_path / "both.csv"
+        path.write_text("".join(f"{60 * i},10.5,1\n" for i in range(1, 8_000)))
+        assert path.stat().st_size >= ingest._TEXT_READ_CHARS
+        ticks, returns = ingest.load_ticks(path), ingest.load_returns(path)
+        names = {folder: [e.name for e in (tick_cache_home / "mfvol" / folder).glob("*")]
+                 for folder in ("ticks", "returns")}
+        assert names["ticks"] == names["returns"] == [ingest._content_key(path) + ".npz"]
+        monkeypatch.setattr(ingest, "parse_ticks", None)
+        monkeypatch.setattr(ingest, "read_returns_csv", None)
+        for _ in range(2):  # hits, whichever kind is read first
+            self.assert_same(ingest.load_returns(path), returns)
+            self.assert_same(ingest.load_ticks(path), ticks)

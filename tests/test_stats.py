@@ -259,6 +259,37 @@ class TestAggGaussScan:
         assert scan.warnings[:2] == [{"delta_t": 5, "reason": "zero variance"},
                                      {"delta_t": 60, "reason": "zero variance"}]
 
+    def test_rows_are_descriptive_bit_for_bit(self):
+        # the scan computes only the kurtosis and its standard error
+        ticks = _gaussian_ticks(30, seed=7, per_min_sd=0.2)
+        scan = stats.agg_gaussianity_scan(ticks, [1, 5, 60, 1440], min_nobs=5)
+        assert len(scan.rows) == 4
+        for row in scan.rows:
+            r = ingest.log_returns(ingest.resample_last(ticks, row["delta_t"])).values
+            d = stats.descriptive(r)
+            assert row == {"delta_t": row["delta_t"], "kurtosis": d.kurtosis,
+                           "se_kurtosis": d.se_kurtosis, "nobs": d.nobs}
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(9).standard_t(3, 20_000),
+        0.01 * np.random.default_rng(10).exponential(1.0, 5_000),
+        np.r_[np.tile([1.0, -1.0], 50), 3e3],  # a subsample just above the c2 floor
+        [1.0, 2.0, 4.0, 8.0],
+    ], ids=["t3", "exponential", "above_floor", "four"])
+    def test_kurtosis_path_matches_descriptive(self, values):
+        d = stats.descriptive(values)
+        assert stats._kurtosis_with_se(values) == (d.kurtosis, d.se_kurtosis)
+
+    @pytest.mark.parametrize("values,error,match", [
+        (np.ones(10), stats.DegenerateSampleError, "zero variance"),
+        ([1e80, -1e80, 3e80, 0.0, 2e80], ValueError, "Pearson"),
+        (np.r_[np.tile([1.0, -1.0], 50), 3e4], ValueError, "replicate is not finite"),
+    ], ids=["constant", "overflow", "below_floor"])
+    def test_kurtosis_path_raises_as_descriptive(self, values, error, match):
+        for compute in (stats.descriptive, stats._kurtosis_with_se):
+            with pytest.raises(error, match=match):
+                compute(values)
+
     def test_rows_ordered_and_csv(self):
         ticks = _gaussian_ticks(400, seed=5)
         scan = stats.agg_gaussianity_scan(ticks, [360, 60], min_nobs=100)

@@ -221,6 +221,16 @@ class TestSimulate:
         p = normal_params(omega=1.0)
         assert np.array_equal(tgarch.simulate(p, 100, 3), tgarch.simulate(p, 100, 3))
 
+    @pytest.mark.parametrize("changes", [{"omega": 1e307}, {"mu": 1e308, "c1": 0.5}],
+                             ids=["variance", "mean"])
+    def test_path_out_of_range_raises_without_warning(self, changes):
+        params = replace(normal_params(alpha=0.1, beta=0.8), **changes)
+        params.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leave the floating-point range"):
+                tgarch.simulate(params, 5, seed=1)
+
     def test_ged_draws_unit_variance(self):
         p = tgarch.TgarchParams(omega=1.0, dist="ged", shape=1.3)
         x = tgarch.simulate(p, 200_000, seed=11)
