@@ -351,9 +351,14 @@ def cmd_join(s, inputs, output):
     if len(inputs) < 2:
         raise UsageError("--inputs must name at least 2 tracks to join")
     tracks = []
-    for path in inputs:
-        with open(_resolve_input(path), encoding="utf-8") as fh:
-            tracks.append(rolling.read_track_csv(fh.read()))
+    for name in inputs:
+        path = _resolve_input(name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            tracks.append(rolling.read_track_csv(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     table = rolling.join_measures(tracks, names=[Path(p).stem for p in inputs])
     _write(output, rolling.joined_to_csv(table))
 

@@ -3,9 +3,10 @@
 Input format: headerless UTF-8 CSV, one trade per line, ``unix_seconds,price,amount``
 (the Bitcoincharts dump layout).  Parsed ticks are in timestamp order.
 Prices are resampled onto a regular bar grid and returns are percent log
-differences.  `load_ticks` and `load_returns` keep the parsed arrays of a
-tick file, or of a returns file of 64 KiB or more, in a cache keyed by the
-file's contents, so a file read again is not parsed again.
+differences.  A file of 64 KiB or more is read in place, and
+`load_ticks` and `load_returns` keep its parsed arrays in a cache keyed by
+its contents, so it is not parsed again; any other input is read whole as
+text.  The parsers take a ``str`` as CSV text, the loaders as a path.
 """
 
 import io
@@ -91,25 +92,29 @@ def _read_text(source) -> str:
 _TICK_ROW = np.dtype([("t", np.int64), ("p", np.float64), ("a", np.float64)])
 _RETURN_ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 _INT64_RANGE = range(-2**63, 2**63)  # the timestamps np.loadtxt reads
-# Line breaks of str.splitlines that np.loadtxt reads as field characters.
-_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_CHUNK_CHARS = 1 << 18  # characters per read of a file's line-break check
-# A shorter file is parsed from the check's text: np.loadtxt reads text line
-# by line, slower than a path, but a path's first read imports gzip and more.
-_TEXT_READ_CHARS = 1 << 16
+# ASCII that np.loadtxt reads otherwise than the line loop: line breaks of
+# str.splitlines that it reads as field characters, and \x1f, which it strips
+# from a number.  Text that is not ASCII goes to the line loop whole.
+_LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_CHUNK_CHARS = 1 << 18  # characters per read of a file's check
+# A smaller file is read whole and parsed from its text, and not cached:
+# np.loadtxt reads text line by line, slower than a path, but a path's first
+# read imports gzip and more, and a parse is quicker than a hit.
+_TEXT_READ_BYTES = 1 << 16
 _COMPRESSED = (".gz", ".bz2", ".xz")
 
 
 def _text_or_path(source):
-    """``source`` itself when it is a path np.loadtxt reads as it is, its text
-    otherwise.  A path is read in place only if it names a regular file
-    without a compressed suffix: np.loadtxt decompresses a path by its
-    suffix, and a pipe (``--input <(zcat ticks.csv.gz)``) can be read only
-    once, while a path is opened for its line-break check and, unless it is
-    shorter than _TEXT_READ_CHARS, again by np.loadtxt."""
-    if (isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED
-            and os.path.isfile(source)):
-        return source
+    """``source`` itself when it is a path np.loadtxt reads in place, its text
+    otherwise.  A path is read in place only if it names a regular file of at
+    least _TEXT_READ_BYTES bytes without a compressed suffix: np.loadtxt
+    decompresses a path by its suffix, and a pipe (``--input <(zcat
+    ticks.csv.gz)``) can be read only once, while a path read in place is
+    opened for the check of `_load_rows` and again by np.loadtxt."""
+    if isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED:
+        state = _file_state(source)
+        if state is not None and state[2] >= _TEXT_READ_BYTES:  # state[2]: the size
+            return source
     return _read_text(source)
 
 
@@ -124,44 +129,27 @@ def _chunks(source):
             yield chunk
 
 
-def _line_check(source, header):
-    """``(skip, text)`` for np.loadtxt, or None when np.loadtxt and the line
-    loop could split the text into different lines (a lone CR, a form feed,
-    ...).  ``skip`` is 1 when the first line starts with the word ``header``
-    (in any case), else 0.  ``text`` is the check's own text of a file read
-    in one chunk shorter than _TEXT_READ_CHARS, and ``source`` otherwise."""
-    skip, chunks, first = 0, 0, ""
-    for chunks, chunk in enumerate(_chunks(source), start=1):
-        if any(c in chunk for c in _OTHER_BREAKS) or (
-            "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")
-        ):
-            return None
-        if chunks == 1:
-            first = chunk
-            if header is not None:
-                skip = int(chunk[:len(header)].lower() == header)
-    if chunks <= 1 and len(first) < _TEXT_READ_CHARS:  # ``first`` is the whole file
-        return skip, first
-    return skip, source
-
-
 def _load_rows(source, dtype, header=None, **kwargs):
     """All rows of ``source`` from one np.loadtxt call, or None when it fails.
 
     ``source`` is text, or a path that np.loadtxt reads in place, in chunks,
-    so that no copy of the whole file is made.  A path to a file shorter
-    than _TEXT_READ_CHARS is parsed from the text its line-break check read,
-    so the file is opened once.  None sends the caller to its
+    so that no copy of the whole file is made.  None sends the caller to its
     line loop, which is the reference: it skips whitespace-only lines, reads
-    ``1_000``, and names the line of an error.  Text whose line breaks the
-    two could split differently goes to the loop unread, and so does a file
-    that is not UTF-8: the loop reads it again and reports the error.
+    ``1_000``, and names the line of an error.  Text that the two could read
+    differently goes to the loop unread: text that is not ASCII or holds a
+    character of _LOOP_ONLY or a lone CR.  So does a file that is not UTF-8:
+    the loop reads it again and reports the error.  The first line is
+    skipped when it starts with the word ``header`` (in any case).
     """
     try:
-        checked = _line_check(source, header)
-        if checked is None:
-            return None
-        skip, source = checked
+        skip = 0
+        for i, chunk in enumerate(_chunks(source)):
+            if not chunk.isascii() or any(c in chunk for c in _LOOP_ONLY) or (
+                "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")
+            ):
+                return None
+            if i == 0 and header is not None:
+                skip = int(chunk[:len(header)].lower() == header)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             return np.loadtxt(io.StringIO(source) if isinstance(source, str) else source,
@@ -187,9 +175,10 @@ def parse_ticks(source) -> TickSeries:
     Empty lines are skipped.  Records are returned in timestamp order; a
     stable sort is applied when the input is out of order, so that "last
     trade wins" semantics survive.
-    ``source`` is a path, read in place, or text, bytes or a file object.
-    The input is read as one array; input that fails that read or its checks
-    is parsed line by line, which raises naming the offending line.
+    ``source`` is a path (``os.PathLike``), or text, bytes or a file object;
+    a ``str`` is CSV text, not a file name as for `load_ticks`.  The input is
+    read as one array; input that fails that read or its checks is parsed
+    line by line, which raises naming the offending line.
     """
     source = _text_or_path(source)
     rows = _load_rows(source, _TICK_ROW)
@@ -206,13 +195,12 @@ _HASH_BYTES = 1 << 20
 
 
 class _TickEntry:
-    """Tick files in the cache: their folder, the smallest file cached, the
-    parse an entry stands for, and the conversions between that parse's
-    result and an entry's arrays.  `_ReturnsEntry` is the same for returns
-    files; `_load` reads only these names."""
+    """Tick files in the cache: their folder, the parse an entry stands for,
+    and the conversions between that parse's result and an entry's arrays.
+    `_ReturnsEntry` is the same for returns files; `_load` reads only these
+    names."""
 
     folder = "ticks"  # under $XDG_CACHE_HOME/mfvol
-    min_bytes = 0  # a smaller file is parsed and not cached
     keys = ("t", "p", "a")  # the names of the entry's arrays
 
     @staticmethod
@@ -237,10 +225,6 @@ class _ReturnsEntry:
     """Returns files in the cache, as `_TickEntry` describes tick files."""
 
     folder = "returns"
-    # A smaller file is opened once and parsed from its text, which is quicker
-    # than a hit: in fresh processes, a 34 KB file parses in 0.9 ms against a
-    # 1.7 ms hit, and a 68 KB file in 3.1 ms against 2.2 ms.
-    min_bytes = _TEXT_READ_CHARS
     keys = ("t", "v")
 
     @staticmethod
@@ -261,6 +245,8 @@ class _ReturnsEntry:
 def load_ticks(path) -> TickSeries:
     """`parse_ticks(path)`, parsed once per file contents and then cached.
 
+    ``path`` is a file name, also as a ``str``, which `parse_ticks` would
+    read as CSV text.  A file under _TEXT_READ_BYTES bytes is not cached.
     An entry is keyed by the SHA-256 of the file's bytes, the mfvol, NumPy
     and Python versions and this module's own bytes, so an edited file,
     another release or changed parsing code never finds it.  Entries live in
@@ -282,9 +268,8 @@ def load_returns(path) -> ReturnSeries:
 
     The cache is `load_ticks`'s, with its own folder
     ``$XDG_CACHE_HOME/mfvol/returns``, so a tick entry and a returns entry
-    made from the same bytes never mix.  Only a regular file of at least
-    _TEXT_READ_CHARS bytes is cached: a smaller one is opened once and parsed
-    from its text, which is quicker than a hit.
+    made from the same bytes never mix.  ``path`` is a file name, also as a
+    ``str``, which `read_returns_csv` would read as CSV text.
     """
     return _load(Path(path), _ReturnsEntry)
 
@@ -294,9 +279,9 @@ def _load(path, kind):
     an entry of the file's contents, and stored there after a parse."""
     state = _file_state(path)
     folder = _cache_dir(kind.folder)
-    # a pipe is read once, by the parse; a missing file raises there too;
+    # a pipe is read once, by the parse, and a missing file raises there;
     # state[2] is the file's size
-    if (state is None or state[2] < kind.min_bytes or folder is None
+    if (state is None or state[2] < _TEXT_READ_BYTES or folder is None
             or not _private(folder)):
         return kind.parse(path)
     try:
@@ -550,9 +535,10 @@ def read_returns_csv(source) -> ReturnSeries:
     """Read a returns CSV produced by `returns_to_csv` (flag column optional).
 
     A malformed row or a non-finite value raises ValueError naming its
-    1-based line number.  As in `parse_ticks`, ``source`` may be a path, the
-    input is read as one array, and only input that fails that read or its
-    check is read line by line.
+    1-based line number.  As in `parse_ticks`, ``source`` may be a path, text
+    (a ``str``, not a file name as for `load_returns`), bytes or a file
+    object, the input is read as one array, and only input that fails that
+    read or its check is read line by line.
     """
     source = _text_or_path(source)
     # a header anywhere but on line 1 fails the array read and goes to the loop

@@ -155,25 +155,38 @@ def track_to_csv(track: RollingTrack) -> str:
 
 
 def read_track_csv(text: str) -> RollingTrack:
-    """Track from track_to_csv text; a failed row's error message is not kept."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    """Track from track_to_csv text; a failed row's error message is not kept.
+
+    Raises ValueError naming the 1-based line of a missing header, a header
+    not of the form ``window_start,window_end,...,status``, a row whose cell
+    count differs from the header's, a status other than ``ok`` or
+    ``failed``, a window bound that is not an integer, or a payload cell of
+    an ``ok`` row that is neither empty nor a number.
+    """
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ValueError("line 1: no header: the track is empty")
+    lineno, first = lines[0]
+    header = first.split(",")
+    if len(header) < 3 or header[:2] != ["window_start", "window_end"] or header[-1] != "status":
+        raise ValueError(f"line {lineno}: the header is not window_start,window_end,...,status")
     keys = header[2:-1]
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
         status = cells[-1]
-        row = {
-            "window_start": int(cells[0]),
-            "window_end": int(cells[1]),
-            "status": status,
-        }
-        if status == "ok":
-            row["payload"] = {
-                k: float(v) for k, v in zip(keys, cells[2:-1]) if v != ""
-            }
-        else:
-            row["error"] = ""
+        if status not in ("ok", "failed"):
+            raise ValueError(f"line {lineno}: status {status!r} is neither ok nor failed")
+        try:
+            row = {"window_start": int(cells[0]), "window_end": int(cells[1]), "status": status}
+            if status == "ok":
+                row["payload"] = {k: float(v) for k, v in zip(keys, cells[2:-1]) if v != ""}
+            else:
+                row["error"] = ""
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         rows.append(row)
     return RollingTrack(rows=rows)
 

@@ -290,6 +290,30 @@ class TestErrorHandling:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "TickParseError"
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("\n \n", 1),
+        ("window_end,window_start,status\n1,2,ok\n", 1),
+        ("window_start,window_end,mean\n1,2,0.5\n", 1),
+        ("window_start,window_end,status\n1,2\n", 2),
+        ("window_start,window_end,mean,status\n1,2,ok\n", 2),
+        ("window_start,window_end,mean,status\n1,2,0.5,ok\n3,4,0.5,0.7,ok\n", 3),
+        ("window_start,window_end,mean,status\n1,2,0.5,done\n", 2),
+        ("window_start,window_end,mean,status\n1,2.5,0.5,ok\n", 2),
+        ("window_start,window_end,mean,status\n\n1,2,0.5,ok\n3,4,abc,ok\n", 4),
+    ], ids=["empty", "blank", "header_order", "no_status", "status_only", "short_row",
+            "long_row", "status", "window_bound", "payload"])
+    def test_malformed_track_exit_one(self, tmp_path, capsys, text, line):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(text)
+        good.write_text("window_start,window_end,mean,status\n1,2,0.5,ok\n")
+        out = tmp_path / "joined.csv"
+        assert run(["join", "--inputs", str(good), str(bad), "-o", str(out)]) == 1
+        report = json.loads(capsys.readouterr().err)  # one JSON document
+        assert report["error"] == "ValueError"
+        assert report["message"].startswith(f"{bad}: line {line}: ")
+        assert not out.exists()
+
     def test_timestamp_beyond_int64_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "ticks.csv"
         bad.write_text("1,1.0,1.0\n99999999999999999999,1.0,1.0\n")
@@ -608,7 +632,8 @@ def test_tick_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypa
     """The tick-reading runs of the benchmark pipeline write the same bytes,
     manifests included, with no cache, a cold cache and a warm one."""
     ticks = tmp_path / "ticks.csv"
-    ticks.write_text(_ticks_csv(10, seed=1))
+    ticks.write_text(_ticks_csv(20, seed=1))
+    assert ticks.stat().st_size >= ingest._TEXT_READ_BYTES  # a smaller one is not cached
     pipeline = [
         ["ingest", "--input", str(ticks), "--delta-t", "1440", "-o", "daily.csv"],
         ["ingest", "--input", str(ticks), "--delta-t", "5", "-o", "m5.csv"],
@@ -643,7 +668,7 @@ def test_returns_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monke
     series = tmp_path / "r.csv"
     assert run(["simulate", "--model", "gaussian", "--n", "3000", "--seed", "4",
                 "-o", str(series)]) == 0
-    assert series.stat().st_size >= ingest._TEXT_READ_CHARS
+    assert series.stat().st_size >= ingest._TEXT_READ_BYTES
     pipeline = [
         ["stats", "--input", str(series), "-o", "stats.json"],
         ["tgarch", "--input", str(series), "--dist", "normal", "-o", "fit.json"],
@@ -677,7 +702,8 @@ def test_text_io_names_its_encoding(tmp_path, tick_cache_home):
     EncodingWarning from mfvol: no text file follows the locale.  The run is
     a subprocess, which also reads the test's tick cache home."""
     ticks = tmp_path / "ticks.csv"
-    ticks.write_text(_ticks_csv(10, seed=1))
+    ticks.write_text(_ticks_csv(20, seed=1))
+    assert ticks.stat().st_size >= ingest._TEXT_READ_BYTES  # a smaller one is not cached
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"min_nobs": 5}))
     runs = [["simulate", "--model", "gaussian", "--n", "300", "-o", "r.csv"],

@@ -271,7 +271,9 @@ _AMOUNTS = _numeral(st.floats(0.0, 1e3))
 _RETURNS = _numeral(st.floats(-1e3, 1e3))
 _ODD_NUMERALS = st.sampled_from(
     ["1_000", "1_0.5", "nan", "-inf", "inf", "0", "-0.0", "-3", "1.0", "1e400", "x", "",
-     "9223372036854775807", "9223372036854775808", "-9223372036854775809"])
+     "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+     # np.loadtxt reads some of these as numbers; int() and float() none
+     "1\x1f", "\x1f2.5", "3\u0906", "\u01fe4", "5.5\u0906"])
 _ODD_LINES = st.one_of(
     st.sampled_from(["", " ", "\t", "  \t "]),
     st.lists(st.one_of(_TIMES, _PRICES, _ODD_NUMERALS), min_size=2, max_size=4).map(",".join),
@@ -367,6 +369,34 @@ class TestPathMatchesLineLoop:
                 fast, reference = self.outcomes(parse, loop, file, text, chunk_chars)
                 assert fast == reference
 
+    @pytest.mark.parametrize("read", ["text", "small_file", "large_file"])
+    @pytest.mark.parametrize("parse, loop, line, odd", [
+        (ingest.parse_ticks, ingest._parse_tick_lines, 6, "1700000300\u0906,100.05,1.0"),
+        (ingest.parse_ticks, ingest._parse_tick_lines, 6, "\u01fe1700000300,100.05,1.0"),
+        (ingest.parse_ticks, ingest._parse_tick_lines, 6, "1700000300\x1f,100.05,1.0"),
+        (ingest.parse_ticks, ingest._parse_tick_lines, 6, "1700000300,100.05\x1f,1.0"),
+        (ingest.read_returns_csv, ingest._read_return_lines, 8, "604800,0.6\x1f,ok"),
+        (ingest.read_returns_csv, ingest._read_return_lines, 8, "604800\u0906,0.6,ok"),
+        (ingest.read_returns_csv, ingest._read_return_lines, 8, "\u01fe604800,0.6,ok"),
+    ], ids=["ticks-u0906", "ticks-u01fe", "ticks-x1f-int", "ticks-x1f-float",
+            "returns-x1f", "returns-u0906", "returns-u01fe"])
+    def test_fields_only_loadtxt_reads_as_numbers(self, tmp_path, parse, loop, line, odd,
+                                                  read):
+        # rows of ticks 60 s apart, or daily returns under a header
+        if parse is ingest.parse_ticks:
+            rows = [f"{1_700_000_000 + 60 * i},100.05,1.0" for i in range(6_000)]
+        else:
+            rows = ["timestamp,value,flag"] + [f"{86400 * i},0.5,ok" for i in range(1, 6_000)]
+        rows[line - 1] = odd
+        text = "\n".join(rows if read == "large_file" else rows[:200]) + "\n"
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        assert (path.stat().st_size >= ingest._TEXT_READ_BYTES) == (read == "large_file")
+        source = text if read == "text" else path
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            parse(source)
+        assert _outcome(parse, source) == _outcome(loop, text)
+
     def test_text_file_with_a_compressed_suffix(self, tmp_path):
         # np.loadtxt would decompress a path by its suffix; the file is read as text
         path = tmp_path / "ticks.csv.gz"
@@ -452,8 +482,8 @@ class TestPathReadMemory:
 
 
 class TestSmallFileReadOnce:
-    """A file shorter than _TEXT_READ_CHARS is parsed from the text its
-    line-break check read; np.loadtxt opens a longer one again, in place."""
+    """A file under _TEXT_READ_BYTES bytes is read whole as text and parsed
+    from it; np.loadtxt opens a larger one again, in place."""
 
     @pytest.fixture
     def opens(self, monkeypatch):
@@ -485,7 +515,7 @@ class TestSmallFileReadOnce:
         returns, ticks = tmp_path / "returns.csv", tmp_path / "ticks.csv"
         values = self.returns_file(returns, 563)
         times, prices, amounts = _tick_file(ticks, 500, seed=2)
-        assert ticks.stat().st_size < ingest._TEXT_READ_CHARS
+        assert ticks.stat().st_size < ingest._TEXT_READ_BYTES
         assert np.array_equal(ingest.read_returns_csv(returns).values, values)
         parsed = ingest.parse_ticks(ticks)
         for got, want in ((parsed.timestamps, times), (parsed.prices, prices),
@@ -495,12 +525,14 @@ class TestSmallFileReadOnce:
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
     def test_both_sides_of_the_bound_match_text_reads(self, tmp_path, opens, eol, header):
-        # ≈ 32 characters a row: 1,900 rows lie below the bound, 2,100 above it
-        for n, read_in_place in ((1_900, False), (2_100, True)):
+        # ≈ 32 bytes a row with LF: 2,000 rows lie below the bound, 2,100 above it.
+        # The bound counts bytes: with CRLF, 2,000 rows are under 64 Ki characters
+        # as a text-mode read gives them, but not under 64 KiB, and are read in place.
+        for n, read_in_place in ((2_000, eol == "\r\n"), (2_100, True)):
             path = tmp_path / f"r{n}.csv"
             values = self.returns_file(path, n, eol, header)
-            # the bound counts characters as a text-mode read gives them (CRLF as one)
-            assert (len(path.read_text()) >= ingest._TEXT_READ_CHARS) == read_in_place
+            assert (path.stat().st_size >= ingest._TEXT_READ_BYTES) == read_in_place
+            assert (len(path.read_text()) < ingest._TEXT_READ_BYTES) == (n == 2_000)
             opens.clear()
             from_path = ingest.read_returns_csv(path)
             assert opens == ([path] if read_in_place else [])
@@ -600,9 +632,9 @@ class _CacheKind:
     damages: dict  # name: entry arrays -> arrays that break a guarantee of the parse
 
 
+# 5,000 rows of 10.5 bring a file of either kind above _TEXT_READ_BYTES
 _TICK_CACHE = _CacheKind("load_ticks", "parse_ticks", ingest._TickEntry, _tick_file, "",
-                         "1", "prices", 0, 24, ingest.TickParseError, _TICK_DAMAGES)
-# 5,000 rows of 10.5 bring a returns file above _TEXT_READ_CHARS
+                         "1", "prices", 5_000, 24, ingest.TickParseError, _TICK_DAMAGES)
 _RETURNS_CACHE = _CacheKind("load_returns", "read_returns_csv", ingest._ReturnsEntry,
                             _returns_file, "timestamp,value,flag\n", "ok", "values", 5_000,
                             16, ValueError, _RETURNS_DAMAGES)
@@ -632,14 +664,14 @@ class TestTickCache:
     def write(self, path, n, seed):
         """A generated file of ``n`` rows, plus the kind's padding rows."""
         self.kind.write(path, n + self.kind.pad, seed)
-        assert self.kind.pad == 0 or path.stat().st_size >= ingest._TEXT_READ_CHARS
+        assert path.stat().st_size >= ingest._TEXT_READ_BYTES
 
     def write_values(self, path, tail):
         """A file whose rows carry ``tail`` after the kind's padding rows of 10.5."""
         values = [10.5] * self.kind.pad + list(tail)
         path.write_text(self.kind.header + "".join(
             f"{60 * i},{v},{self.kind.third}\n" for i, v in enumerate(values, start=1)))
-        assert self.kind.pad == 0 or path.stat().st_size >= ingest._TEXT_READ_CHARS
+        assert path.stat().st_size >= ingest._TEXT_READ_BYTES
 
     def tail(self, result):
         return getattr(result, self.kind.column)[self.kind.pad:].tolist()
@@ -821,6 +853,39 @@ class TestTickCache:
                 self.load(path)
         assert entries() == []
 
+    def near_the_bound(self, path, size):
+        """A file of ``size`` bytes, all of its values 10.5."""
+        rows = [self.kind.header]
+        total = len(rows[0])
+        while total < size - 40:
+            rows.append(f"{60 * len(rows)},10.5,{self.kind.third}\n")
+            total += len(rows[-1])
+        rows[-1] = rows[-1].replace("10.5", "10.5" + "0" * (size - total))
+        path.write_text("".join(rows))
+        assert path.stat().st_size == size
+
+    def test_only_files_from_the_bound_up_are_cached(self, tmp_path, entries, monkeypatch):
+        key = ingest._content_key
+        keyed = []
+        monkeypatch.setattr(ingest, "_content_key", lambda p: keyed.append(p) or key(p))
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        self.near_the_bound(small, ingest._TEXT_READ_BYTES - 1)
+        self.near_the_bound(large, ingest._TEXT_READ_BYTES)
+        self.assert_same(self.load(small), self.parse(small))
+        assert keyed == [] and entries() == []
+        self.assert_same(self.load(large), self.parse(large))
+        assert keyed == [large] and len(entries()) == 1
+
+    def test_a_str_is_a_path_to_the_load_and_text_to_the_parse(self, tmp_path, entries):
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        self.kind.write(small, 100, seed=11)  # no padding rows: under the bound
+        self.write(large, 100, seed=11)
+        for path in (small, large):
+            self.assert_same(self.load(str(path)), self.parse(path))
+            with pytest.raises(self.kind.error, match="^line 1: "):
+                self.parse(str(path))
+        assert len(entries()) == 1
+
     def test_hit_memory_is_about_the_arrays(self, tmp_path):
         path = tmp_path / "data.csv"
         self.write(path, 45_000, seed=5)  # ≈ 2 MB of ticks
@@ -832,40 +897,16 @@ class TestTickCache:
 
 class TestReturnsCache(TestTickCache):
     """`load_returns`: `read_returns_csv` behind the same cache, in its own
-    folder, for files of at least _TEXT_READ_CHARS bytes."""
+    folder."""
 
     kind = _RETURNS_CACHE
-
-    @staticmethod
-    def near_the_bound(path, size):
-        """A returns file of ``size`` bytes, all of its values 10.5."""
-        rows = ["timestamp,value,flag\n"]
-        total = len(rows[0])
-        while total < size - 40:
-            rows.append(f"{60 * len(rows)},10.5,ok\n")
-            total += len(rows[-1])
-        rows[-1] = rows[-1].replace("10.5", "10.5" + "0" * (size - total))
-        path.write_text("".join(rows))
-        assert path.stat().st_size == size
-
-    def test_only_files_from_the_bound_up_are_cached(self, tmp_path, entries, monkeypatch):
-        key = ingest._content_key
-        keyed = []
-        monkeypatch.setattr(ingest, "_content_key", lambda p: keyed.append(p) or key(p))
-        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
-        self.near_the_bound(small, ingest._TEXT_READ_CHARS - 1)
-        self.near_the_bound(large, ingest._TEXT_READ_CHARS)
-        self.assert_same(ingest.load_returns(small), ingest.read_returns_csv(small))
-        assert keyed == [] and entries() == []
-        self.assert_same(ingest.load_returns(large), ingest.read_returns_csv(large))
-        assert keyed == [large] and len(entries()) == 1
 
     def test_entries_of_the_same_bytes_stay_apart(self, tmp_path, tick_cache_home,
                                                   monkeypatch):
         # three fields a row: a tick file, and a returns file without a flag
         path = tmp_path / "both.csv"
         path.write_text("".join(f"{60 * i},10.5,1\n" for i in range(1, 8_000)))
-        assert path.stat().st_size >= ingest._TEXT_READ_CHARS
+        assert path.stat().st_size >= ingest._TEXT_READ_BYTES
         ticks, returns = ingest.load_ticks(path), ingest.load_returns(path)
         names = {folder: [e.name for e in (tick_cache_home / "mfvol" / folder).glob("*")]
                  for folder in ("ticks", "returns")}

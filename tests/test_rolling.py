@@ -216,3 +216,13 @@ class TestCsv:
         back = rolling.read_track_csv(text)
         assert [r["status"] for r in back.rows] == ["failed"] * 3
         assert all("payload" not in r for r in back.rows)
+
+    def test_read_returns_the_track_written(self):
+        # a failed row's error message is not written, so it reads back empty
+        track = rolling.RollingTrack(rows=[
+            {"window_start": 0, "window_end": 9, "status": "ok",
+             "payload": {"h": 0.5, "dh": -1e-300}},
+            {"window_start": 5, "window_end": 14, "status": "failed", "error": ""},
+            {"window_start": 10, "window_end": 19, "status": "ok", "payload": {"dh": 1 / 3}},
+        ])
+        assert rolling.read_track_csv(rolling.track_to_csv(track)) == track
