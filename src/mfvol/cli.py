@@ -206,7 +206,7 @@ def _write_manifest(args, settings, seeds):
 
 
 def _read_returns(path):
-    return ingest.load_returns(_resolve_input(path))
+    return ingest.read_returns_csv(_resolve_input(path))
 
 
 def cmd_ingest(s, inputs, output):
@@ -217,7 +217,7 @@ def cmd_ingest(s, inputs, output):
         raise UsageError("--outlier-threshold must be positive")
     # no name keeps the ticks or the bars, so they are freed before the table is built
     returns = ingest.log_returns(ingest.resample_last(
-        ingest.load_ticks(_resolve_input(inputs[0])), s["delta_t"]))
+        ingest.parse_ticks(_resolve_input(inputs[0])), s["delta_t"]))
     if s["outlier_mode"] != "none":
         returns = ingest.filter_outliers(returns, s["outlier_threshold"], s["outlier_mode"])
     _write(output, ingest.returns_to_csv(returns))
@@ -250,7 +250,7 @@ def cmd_agg_gauss(s, inputs, output):
     if s["min_nobs"] < stats.DESCRIPTIVE_MIN_OBS:
         raise UsageError(f"--min-nobs must be at least {stats.DESCRIPTIVE_MIN_OBS}, "
                          "the returns a kurtosis needs")
-    ticks = ingest.load_ticks(_resolve_input(inputs[0]))
+    ticks = ingest.parse_ticks(_resolve_input(inputs[0]))
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
                                       min_nobs=s["min_nobs"])
     _write(output, stats.scan_to_csv(scan))

@@ -3,10 +3,11 @@
 Input format: headerless UTF-8 CSV, one trade per line, ``unix_seconds,price,amount``
 (the Bitcoincharts dump layout).  Parsed ticks are in timestamp order.
 Prices are resampled onto a regular bar grid and returns are percent log
-differences.  A file of 64 KiB or more is read in place, and
-`load_ticks` and `load_returns` keep its parsed arrays in a cache keyed by
-its contents, so it is not parsed again; any other input is read whole as
-text.  The parsers take a ``str`` as CSV text, the loaders as a path.
+differences.  `parse_ticks` and `read_returns_csv` take a path, text,
+bytes or a file object; a ``str`` is always CSV text.  A path of 64 KiB or
+more is read in place, and its parsed rows are cached by its contents, so
+it is not parsed again; any other input is read whole as text and never
+cached.
 """
 
 import io
@@ -17,7 +18,6 @@ import stat
 import sys
 import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,21 +101,22 @@ _CHUNK_CHARS = 1 << 18  # characters per read of a file's check
 # np.loadtxt reads text line by line, slower than a path, but a path's first
 # read imports gzip and more, and a parse is quicker than a hit.
 _TEXT_READ_BYTES = 1 << 16
-_COMPRESSED = (".gz", ".bz2", ".xz")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes np.loadtxt decompresses
 
 
 def _text_or_path(source):
-    """``source`` itself when it is a path np.loadtxt reads in place, its text
-    otherwise.  A path is read in place only if it names a regular file of at
-    least _TEXT_READ_BYTES bytes without a compressed suffix: np.loadtxt
+    """``(source, state)`` for a path that np.loadtxt reads in place, with the
+    file's `_file_state`; ``(text, None)`` for any other input.  A path is
+    read in place only if it names a regular file of at least
+    _TEXT_READ_BYTES bytes without a compressed suffix: np.loadtxt
     decompresses a path by its suffix, and a pipe (``--input <(zcat
     ticks.csv.gz)``) can be read only once, while a path read in place is
-    opened for the check of `_load_rows` and again by np.loadtxt."""
+    opened for the check of `_read_rows` and again by np.loadtxt."""
     if isinstance(source, os.PathLike) and Path(source).suffix not in _COMPRESSED:
         state = _file_state(source)
         if state is not None and state[2] >= _TEXT_READ_BYTES:  # state[2]: the size
-            return source
-    return _read_text(source)
+            return source, state
+    return _read_text(source), None
 
 
 def _chunks(source):
@@ -129,7 +130,53 @@ def _chunks(source):
             yield chunk
 
 
-def _load_rows(source, dtype, header=None, **kwargs):
+def _load_rows(source, state, dtype, valid, header=None, **kwargs):
+    """The columns of the rows of ``source`` as `_read_rows` reads them, or
+    None when that read fails or ``valid(*columns)`` is false.
+
+    The rows of a path read in place (``state`` is its `_file_state`) are
+    cached in ``$XDG_CACHE_HOME/mfvol/parsed`` (default
+    ``~/.cache/mfvol/parsed``), a folder that must belong to the current
+    user and be closed to others.  An entry is named by `_content_key`: the
+    file's bytes, how they are read and the code that reads them.  A hit is
+    read neither by np.loadtxt nor by the check, whose bytes its key covers,
+    but must pass ``valid`` as a read must; an entry that fails it or cannot
+    be read is a miss.  Rows are stored only once they pass ``valid``, and
+    only if the file was not written to meanwhile.
+    """
+    entry = None
+    if state is not None:
+        folder = _cache_dir()
+        if folder is not None and _private(folder):
+            try:
+                key = _content_key(source, repr((dtype.descr, header, kwargs)))
+                entry = folder / f"{key}.npy"
+            except OSError:  # the read reports an unreadable file
+                pass
+    if entry is not None:
+        rows = _read_entry(entry, dtype)
+        if rows is not None and valid(*(columns := _columns(rows))):
+            try:
+                os.utime(entry)  # the pruning order is the order of use
+            except OSError:
+                pass
+            return columns
+    rows = _read_rows(source, dtype, header, **kwargs)
+    if rows is None or not valid(*(columns := _columns(rows))):
+        return None
+    if entry is not None and _file_state(source) == state:  # not written to meanwhile
+        _write_entry(entry, rows)
+    return columns
+
+
+def _columns(rows):
+    """The fields of ``rows``, each 8 bytes wide, as contiguous arrays: one
+    transposed copy of the whole table is quicker than a copy per field."""
+    table = rows.view(np.int64).reshape(-1, len(rows.dtype)).T.copy()
+    return [column.view(rows.dtype[k]) for k, column in enumerate(table)]
+
+
+def _read_rows(source, dtype, header, **kwargs):
     """All rows of ``source`` from one np.loadtxt call, or None when it fails.
 
     ``source`` is text, or a path that np.loadtxt reads in place, in chunks,
@@ -176,140 +223,32 @@ def parse_ticks(source) -> TickSeries:
     stable sort is applied when the input is out of order, so that "last
     trade wins" semantics survive.
     ``source`` is a path (``os.PathLike``), or text, bytes or a file object;
-    a ``str`` is CSV text, not a file name as for `load_ticks`.  The input is
-    read as one array; input that fails that read or its checks is parsed
-    line by line, which raises naming the offending line.
+    a ``str`` is CSV text, never a file name.  The input is read as one
+    array, which is cached for a path of _TEXT_READ_BYTES or more (see
+    `_load_rows`); input that fails that read or its checks is parsed line
+    by line, which raises naming the offending line.
     """
-    source = _text_or_path(source)
-    rows = _load_rows(source, _TICK_ROW)
-    if rows is not None:
-        t, p, a = rows["t"], rows["p"], rows["a"]
-        if np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all():
-            return _tick_series(t, p, a)
+    source, state = _text_or_path(source)
+    columns = _load_rows(source, state, _TICK_ROW, lambda t, p, a: (
+        np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()))
+    if columns is not None:
+        return _tick_series(*columns)
     return _parse_tick_lines(_read_text(source))
 
 
-TICK_CACHE_ENTRIES = 4  # parsed files each cache folder keeps, the most recently used
+TICK_CACHE_ENTRIES = 4  # parsed files the cache keeps, the most recently used
 TICK_CACHE_BYTES = 1 << 29  # and the most bytes those entries may hold together
 _HASH_BYTES = 1 << 20
 
 
-class _TickEntry:
-    """Tick files in the cache: their folder, the parse an entry stands for,
-    and the conversions between that parse's result and an entry's arrays.
-    `_ReturnsEntry` is the same for returns files; `_load` reads only these
-    names."""
-
-    folder = "ticks"  # under $XDG_CACHE_HOME/mfvol
-    keys = ("t", "p", "a")  # the names of the entry's arrays
-
-    @staticmethod
-    def parse(path):
-        return parse_ticks(path)  # looked up at each call: a patched one is used
-
-    @staticmethod
-    def arrays(ticks):
-        return ticks.timestamps, ticks.prices, ticks.amounts
-
-    @staticmethod
-    def restore(t, p, a):
-        """The parse's result; None when the arrays break one of its guarantees."""
-        valid = (t.dtype == np.int64 and p.dtype == np.float64 and a.dtype == np.float64
-                 and t.ndim == 1 and t.shape == p.shape == a.shape
-                 and np.isfinite(p).all() and (p > 0.0).all() and (a >= 0.0).all()
-                 and (t[1:] >= t[:-1]).all())
-        return TickSeries(t, p, a) if valid else None
-
-
-class _ReturnsEntry:
-    """Returns files in the cache, as `_TickEntry` describes tick files."""
-
-    folder = "returns"
-    keys = ("t", "v")
-
-    @staticmethod
-    def parse(path):
-        return read_returns_csv(path)
-
-    @staticmethod
-    def arrays(returns):
-        return returns.times, returns.values
-
-    @staticmethod
-    def restore(t, v):
-        valid = (t.dtype == np.int64 and v.dtype == np.float64 and t.ndim == 1
-                 and t.shape == v.shape and np.isfinite(v).all())
-        return _return_series(t, v) if valid else None  # delta_t_minutes as a parse gives it
-
-
-def load_ticks(path) -> TickSeries:
-    """`parse_ticks(path)`, parsed once per file contents and then cached.
-
-    ``path`` is a file name, also as a ``str``, which `parse_ticks` would
-    read as CSV text.  A file under _TEXT_READ_BYTES bytes is not cached.
-    An entry is keyed by the SHA-256 of the file's bytes, the mfvol, NumPy
-    and Python versions and this module's own bytes, so an edited file,
-    another release or changed parsing code never finds it.  Entries live in
-    ``$XDG_CACHE_HOME/mfvol/ticks`` (default ``~/.cache/mfvol/ticks``), a
-    folder that must belong to the current user and be closed to others; the
-    TICK_CACHE_ENTRIES most recently used that fit in TICK_CACHE_BYTES are
-    kept.  A hit is checked against every guarantee of `parse_ticks`, and an
-    entry that fails a check or cannot be read is a miss.  Without a usable
-    cache, or for a path that is not a regular file (a pipe, which can be
-    read only once), the input is parsed as `parse_ticks` parses it and is
-    not cached; an input that fails to parse raises its usual error and is
-    not cached.
-    """
-    return _load(Path(path), _TickEntry)
-
-
-def load_returns(path) -> ReturnSeries:
-    """`read_returns_csv(path)`, parsed once per file contents and then cached.
-
-    The cache is `load_ticks`'s, with its own folder
-    ``$XDG_CACHE_HOME/mfvol/returns``, so a tick entry and a returns entry
-    made from the same bytes never mix.  ``path`` is a file name, also as a
-    ``str``, which `read_returns_csv` would read as CSV text.
-    """
-    return _load(Path(path), _ReturnsEntry)
-
-
-def _load(path, kind):
-    """``kind.parse(path)``, from the cache folder of ``kind`` when it holds
-    an entry of the file's contents, and stored there after a parse."""
-    state = _file_state(path)
-    folder = _cache_dir(kind.folder)
-    # a pipe is read once, by the parse, and a missing file raises there;
-    # state[2] is the file's size
-    if (state is None or state[2] < _TEXT_READ_BYTES or folder is None
-            or not _private(folder)):
-        return kind.parse(path)
-    try:
-        key = _content_key(path)
-    except OSError:  # the parse reports an unreadable input
-        return kind.parse(path)
-    entry = folder / f"{key}.npz"
-    result = _read_entry(entry, kind)
-    if result is not None:
-        try:
-            os.utime(entry)  # the pruning order is the order of use
-        except OSError:
-            pass
-        return result
-    result = kind.parse(path)
-    if _file_state(path) == state:  # not written to meanwhile
-        _write_entry(folder, entry, dict(zip(kind.keys, kind.arrays(result))))
-    return result
-
-
-def _cache_dir(name):
+def _cache_dir():
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # the XDG spec ignores a relative path
         home = os.environ.get("HOME")
         if not home:
             return None
         base = os.path.join(home, ".cache")
-    return Path(base, "mfvol", name)
+    return Path(base, "mfvol", "parsed")
 
 
 def _private(folder):
@@ -337,43 +276,42 @@ def _file_state(path):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _content_key(path):
-    """Hex SHA-256 of what a parse depends on: the mfvol, NumPy and Python
-    versions, this module's bytes, and the file's bytes, read in blocks."""
+def _content_key(path, how):
+    """Hex SHA-256 of what a read depends on: the mfvol, NumPy and Python
+    versions, this module's bytes, ``how`` the file is read (a str) and the
+    file's bytes, read in blocks."""
     import hashlib
 
     import mfvol  # imported in full by the time a file is read
 
     digest = hashlib.sha256(b"\0".join([mfvol.__version__.encode(), np.__version__.encode(),
                                         sys.version.encode(), Path(__file__).read_bytes(),
-                                        b""]))
+                                        how.encode(), b""]))
     with open(path, "rb") as fh:
         while block := fh.read(_HASH_BYTES):
             digest.update(block)
     return digest.hexdigest()
 
 
-def _read_entry(entry, kind):
-    """The result a cache entry of ``kind`` holds; None when it is missing,
-    cannot be read, or breaks a guarantee of the parse."""
+def _read_entry(entry, dtype):
+    """The rows a cache entry holds; None when it is missing, cannot be read,
+    or is not a 1-D array of ``dtype``."""
     try:
         with open(entry, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                return None
-            arrays = [npz[k] for k in kind.keys]
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
         return None
-    return kind.restore(*arrays)
+    return rows if rows.dtype == dtype and rows.ndim == 1 else None
 
 
-def _write_entry(folder, entry, arrays):
-    """Store ``arrays`` as ``entry``, then keep only the TICK_CACHE_ENTRIES
-    most recently used entries of ``folder`` that fit in TICK_CACHE_BYTES.  The entry
-    appears whole or not at all; arrays larger than the bound are not
-    stored, and a cache that cannot be written is left as it is."""
-    if sum(x.nbytes for x in arrays.values()) > TICK_CACHE_BYTES:
+def _write_entry(entry, rows):
+    """Store ``rows`` as ``entry``, then keep only the TICK_CACHE_ENTRIES
+    most recently used entries of its folder that fit in TICK_CACHE_BYTES.
+    The entry appears whole or not at all; rows larger than the bound are
+    not stored, and a cache that cannot be written is left as it is."""
+    if rows.nbytes > TICK_CACHE_BYTES:
         return
+    folder = entry.parent
     try:
         folder.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(folder):
@@ -381,13 +319,13 @@ def _write_entry(folder, entry, arrays):
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=folder)
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
+                np.lib.format.write_array(fh, rows, allow_pickle=False)
             os.replace(tmp, entry)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         kept = total = 0
-        for old in sorted(folder.glob("*.npz"), key=lambda e: -e.stat().st_mtime_ns):
+        for old in sorted(folder.glob("*.npy"), key=lambda e: -e.stat().st_mtime_ns):
             total += old.stat().st_size
             if kept < TICK_CACHE_ENTRIES and total <= TICK_CACHE_BYTES:
                 kept += 1
@@ -536,15 +474,16 @@ def read_returns_csv(source) -> ReturnSeries:
 
     A malformed row or a non-finite value raises ValueError naming its
     1-based line number.  As in `parse_ticks`, ``source`` may be a path, text
-    (a ``str``, not a file name as for `load_returns`), bytes or a file
-    object, the input is read as one array, and only input that fails that
-    read or its check is read line by line.
+    (a ``str``, never a file name), bytes or a file object, the input is
+    read as one array, cached for a large path, and only input that fails
+    that read or its check is read line by line.
     """
-    source = _text_or_path(source)
+    source, state = _text_or_path(source)
     # a header anywhere but on line 1 fails the array read and goes to the loop
-    rows = _load_rows(source, _RETURN_ROW, header="timestamp", usecols=(0, 1))
-    if rows is not None and np.isfinite(rows["v"]).all():
-        return _return_series(rows["t"], rows["v"])
+    columns = _load_rows(source, state, _RETURN_ROW, lambda t, v: np.isfinite(v).all(),
+                         header="timestamp", usecols=(0, 1))
+    if columns is not None:
+        return _return_series(*columns)
     return _read_return_lines(_read_text(source))
 
 

@@ -97,7 +97,8 @@ def join_measures(tracks, names=None) -> JoinedTable:
     """Inner join of tracks on window_end for cross-measure scatters.
 
     Only status-ok rows participate.  Colliding payload keys are prefixed
-    with the track name (or its index).  Raises if no window labels overlap.
+    with the track name (or its index).  Raises if no window labels overlap,
+    or if a column would still be written twice (two tracks of one name).
     """
     if len(tracks) < 2:
         raise ValueError("need at least 2 tracks to join")
@@ -123,6 +124,9 @@ def join_measures(tracks, names=None) -> JoinedTable:
         for name, m in zip(names, maps):
             for key, val in m[end].items():
                 col = key if key not in merged else f"{name}_{key}"
+                if col in merged:
+                    raise ValueError(f"column {col} would be written twice: "
+                                     "the tracks need distinct names")
                 merged[col] = val
         rows.append(merged)
         for col in merged:

@@ -207,6 +207,23 @@ class TestRollingAndJoin:
         assert "None" not in out.read_text()
         assert len(out.read_text().splitlines()) > 1
 
+    def test_tracks_of_one_stem_exit_one(self, tmp_path, capsys):
+        # the second track's columns are prefixed with its stem, and a third
+        # track of that stem would overwrite them
+        tracks = [tmp_path / d / "track.csv" for d in "abc"]
+        for track in tracks:
+            track.parent.mkdir()
+            track.write_text("window_start,window_end,h2,status\n1,2,0.5,ok\n")
+        out = tmp_path / "joined.csv"
+        assert run(["join", "--inputs", *map(str, tracks[:2]), "-o", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "window_end,h2,track_h2"
+        out.unlink()
+        assert run(["join", "--inputs", *map(str, tracks), "-o", str(out)]) == 1
+        report = json.loads(capsys.readouterr().err)  # one JSON document
+        assert report["error"] == "ValueError"
+        assert report["message"].startswith("column track_h2 would be written twice")
+        assert not out.exists()
+
 
 _FILES = ["--input", "r.csv", "-o", "t.csv"]  # errors come before either is opened
 
@@ -264,6 +281,25 @@ class TestErrorHandling:
                  "-o", str(out)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (None, "No such file or directory"),
+        ("{\"delta_t\": 60,}", "Expecting property name"),
+        ("[60]", "expected a JSON object of settings"),
+    ], ids=["unreadable", "invalid_json", "not_an_object"])
+    def test_bad_config_file_usage_error(self, tmp_path, ticks_3day_path, capsys,
+                                         config, message):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--input", str(ticks_3day_path), "--config", str(cfg),
+                 "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config {cfg}: " in err and message in err
         assert not out.exists()
 
     def test_missing_subcommand(self, capsys):
@@ -655,9 +691,10 @@ def test_tick_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monkeypa
         reference = outputs("none")
     assert not any(tick_cache_home.iterdir())
     assert outputs("cold") == reference
-    assert len(list(tick_cache_home.glob("mfvol/ticks/*.npz"))) == 1
+    assert len(list(tick_cache_home.glob("mfvol/parsed/*.npy"))) == 1
 
-    monkeypatch.setattr(ingest, "parse_ticks", None)  # a warm cache parses nothing
+    monkeypatch.setattr(np, "loadtxt", None)  # a warm cache reads no file
+    monkeypatch.setattr(ingest, "_parse_tick_lines", None)
     assert outputs("warm") == reference
 
 
@@ -691,9 +728,10 @@ def test_returns_cache_leaves_outputs_unchanged(tmp_path, tick_cache_home, monke
         reference = outputs("none")
     assert not any(tick_cache_home.iterdir())
     assert outputs("cold") == reference
-    assert len(list(tick_cache_home.glob("mfvol/returns/*.npz"))) == 1
+    assert len(list(tick_cache_home.glob("mfvol/parsed/*.npy"))) == 1
 
-    monkeypatch.setattr(ingest, "read_returns_csv", None)  # a warm cache parses nothing
+    monkeypatch.setattr(np, "loadtxt", None)  # a warm cache reads no file
+    monkeypatch.setattr(ingest, "_read_return_lines", None)
     assert outputs("warm") == reference
 
 
@@ -728,4 +766,4 @@ def test_text_io_names_its_encoding(tmp_path, tick_cache_home):
     package = str(Path(cli.__file__).parent)
     assert [ln for ln in proc.stderr.splitlines()
             if "EncodingWarning" in ln and package in ln] == []
-    assert len(list(tick_cache_home.glob("mfvol/ticks/*.npz"))) == 1
+    assert len(list(tick_cache_home.glob("mfvol/parsed/*.npy"))) == 1

@@ -397,11 +397,16 @@ class TestPathMatchesLineLoop:
             parse(source)
         assert _outcome(parse, source) == _outcome(loop, text)
 
-    def test_text_file_with_a_compressed_suffix(self, tmp_path):
-        # np.loadtxt would decompress a path by its suffix; the file is read as text
-        path = tmp_path / "ticks.csv.gz"
-        path.write_text("1,2.0,1.0\n2,3.0,1.0\n")
-        assert list(ingest.parse_ticks(path).prices) == [2.0, 3.0]
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_text_file_with_a_compressed_suffix(self, tmp_path, tick_cache_home, suffix):
+        # np.loadtxt would decompress a path by its suffix; the file is read as
+        # text, also when it is large enough to be read in place otherwise
+        path = tmp_path / f"ticks.csv{suffix}"
+        text = "".join(f"{i},{2.0 + i % 7},1.0\n" for i in range(1, 8_000))
+        path.write_text(text)
+        assert path.stat().st_size >= ingest._TEXT_READ_BYTES
+        assert _outcome(ingest.parse_ticks, path) == _outcome(ingest._parse_tick_lines, text)
+        assert not any(tick_cache_home.iterdir())
 
     def test_file_not_utf8(self, file):
         file.write_bytes(b"1,2.0,1.0\n2,\xff,1.0\n")
@@ -596,70 +601,96 @@ def _returns_file(path, n, seed):
         ingest.ReturnSeries(5, 300 * np.arange(1, n + 1, dtype=np.int64), values)))
 
 
-# each breaks one guarantee of the parse in an entry's arrays
+def _damaged(field, value):
+    """A copy of an entry's rows with ``value`` in row 9 of ``field``."""
+    def damage(rows):
+        rows = rows.copy()
+        rows[field][9] = value
+        return rows
+    return damage
+
+
+# each makes an entry's rows break a check of the read
 _SHARED_DAMAGES = {
-    "dtype": lambda a: {**a, "t": a["t"].astype(np.float64)},
-    "ndim": lambda a: {k: v.reshape(-1, 2) for k, v in a.items()},
+    "dtype": lambda r: r.astype([(name, np.float64) for name in r.dtype.names]),
+    "byte_order": lambda r: r.astype(r.dtype.newbyteorder()),
+    "ndim": lambda r: r.reshape(-1, 2),
+    "missing": lambda r: r[list(r.dtype.names[:-1])],
 }
-_TICK_DAMAGES = {
-    "price": lambda a: {**a, "p": np.where(np.arange(len(a["p"])) == 9, -1.0, a["p"])},
-    "order": lambda a: {**a, "t": a["t"][::-1].copy()},
-    "missing": lambda a: {k: v for k, v in a.items() if k != "a"},
-    **_SHARED_DAMAGES,
-}
-_RETURNS_DAMAGES = {
-    "value": lambda a: {**a, "v": np.where(np.arange(len(a["v"])) == 9, np.nan, a["v"])},
-    "shape": lambda a: {**a, "v": a["v"][:-1]},
-    "missing": lambda a: {k: v for k, v in a.items() if k != "v"},
-    **_SHARED_DAMAGES,
-}
+_TICK_DAMAGES = {"price": _damaged("p", -1.0), "amount": _damaged("a", -1.0),
+                 **_SHARED_DAMAGES}
+_RETURNS_DAMAGES = {"value": _damaged("v", np.nan), **_SHARED_DAMAGES}
 
 
 @dataclass(frozen=True)
 class _CacheKind:
     """What `TestTickCache` needs of one kind of cached file."""
 
-    load: str  # names in ingest, looked up at each call: a test may patch them
-    parse: str
-    entry: type  # ingest's _TickEntry or _ReturnsEntry
+    parse: str  # names in ingest, looked up at each call: a test may patch them
+    loop: str  # the line loop of the parse
+    dtype: np.dtype  # the rows of an entry
     write: Callable  # (path, n, seed): a generated file of n rows
     header: str  # the first line of a file, before its rows
     third: str  # the third field of a row that `write_values` writes
     column: str  # the result's field that `write_values` sets
     pad: int  # rows added before a test's own, so that a file is cached
-    row_bytes: int  # bytes of an entry's arrays per row
     error: type  # what a malformed row raises
-    damages: dict  # name: entry arrays -> arrays that break a guarantee of the parse
+    damages: dict  # name: entry rows -> rows that break a check of the read
 
 
 # 5,000 rows of 10.5 bring a file of either kind above _TEXT_READ_BYTES
-_TICK_CACHE = _CacheKind("load_ticks", "parse_ticks", ingest._TickEntry, _tick_file, "",
-                         "1", "prices", 5_000, 24, ingest.TickParseError, _TICK_DAMAGES)
-_RETURNS_CACHE = _CacheKind("load_returns", "read_returns_csv", ingest._ReturnsEntry,
+_TICK_CACHE = _CacheKind("parse_ticks", "_parse_tick_lines", ingest._TICK_ROW, _tick_file,
+                         "", "1", "prices", 5_000, ingest.TickParseError, _TICK_DAMAGES)
+_RETURNS_CACHE = _CacheKind("read_returns_csv", "_read_return_lines", ingest._RETURN_ROW,
                             _returns_file, "timestamp,value,flag\n", "ok", "values", 5_000,
-                            16, ValueError, _RETURNS_DAMAGES)
+                            ValueError, _RETURNS_DAMAGES)
 
 
 class TestTickCache:
-    """`load_ticks`: `parse_ticks` behind a cache keyed by the file's contents.
-    `TestReturnsCache` runs every test on `load_returns` too."""
+    """`parse_ticks` on a path read in place: its rows are cached by the
+    file's contents.  `TestReturnsCache` runs every test on `read_returns_csv`
+    too."""
 
     kind = _TICK_CACHE
 
     def pytest_generate_tests(self, metafunc):
         if "damage" in metafunc.fixturenames:
-            metafunc.parametrize("damage", ["truncated", "garbage", "npy", *self.kind.damages])
+            metafunc.parametrize("damage", ["truncated", "garbage", "npz", *self.kind.damages])
 
     @pytest.fixture
     def entries(self, tick_cache_home):
-        folder = tick_cache_home / "mfvol" / self.kind.entry.folder
+        folder = tick_cache_home / "mfvol" / "parsed"
         return lambda: sorted(folder.glob("*")) if folder.exists() else []
 
-    def load(self, path):
-        return getattr(ingest, self.kind.load)(path)
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """What np.loadtxt reads and what the line loop is called on ("loop")."""
+        calls = []
+        loadtxt, loop = np.loadtxt, getattr(ingest, self.kind.loop)
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda src, *a, **kw: calls.append(src) or loadtxt(src, *a, **kw))
+        monkeypatch.setattr(ingest, self.kind.loop,
+                            lambda text: calls.append("loop") or loop(text))
+        return calls
+
+    @pytest.fixture
+    def keys(self, monkeypatch):
+        """Entry names by file, as the reads make them."""
+        names, key = {}, ingest._content_key
+
+        def record(path, how):
+            names[path] = key(path, how) + ".npy"
+            return names[path][:-len(".npy")]
+
+        monkeypatch.setattr(ingest, "_content_key", record)
+        return names
 
     def parse(self, path):
         return getattr(ingest, self.kind.parse)(path)
+
+    def reference(self, path):
+        """The line loop's result on the file's text."""
+        return getattr(ingest, self.kind.loop)(path.read_text(encoding="utf-8"))
 
     def write(self, path, n, seed):
         """A generated file of ``n`` rows, plus the kind's padding rows."""
@@ -687,39 +718,41 @@ class TestTickCache:
                 assert a == b
 
     @pytest.mark.parametrize("shuffle", [False, True])
-    def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, monkeypatch, shuffle):
+    def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, reads, shuffle):
         path = tmp_path / "data.csv"
         self.write(path, 2_000, seed=7)
         head = 1 if self.kind.header else 0
-        if shuffle:  # out of order: a tick entry holds the sorted arrays
+        if shuffle:  # out of order: an entry keeps the file's order, and a read sorts
             lines = path.read_text().splitlines(keepends=True)
             rows = lines[head:]
             np.random.default_rng(1).shuffle(rows)
             path.write_text("".join(lines[:head] + rows))
         in_file = [int(line.split(",")[0]) for line in path.read_text().splitlines()[head:]]
         assert (in_file != sorted(in_file)) is shuffle
-        want = self.parse(path)
-        self.assert_same(self.load(path), want)
-        assert len(entries()) == 1
-        monkeypatch.setattr(ingest, self.kind.parse, None)  # a hit parses nothing
-        self.assert_same(self.load(str(path)), want)
+        want = self.reference(path)
+        reads.clear()
+        self.assert_same(self.parse(path), want)
+        assert reads == [path] and len(entries()) == 1
+        reads.clear()
+        self.assert_same(self.parse(path), want)
+        assert reads == []  # a hit reads neither by np.loadtxt nor by the line loop
 
     def test_pipe_is_parsed_and_not_cached(self, tmp_path, entries, read_fifo):
         path = tmp_path / "data.csv"
         self.write(path, 20_000, seed=5)
-        got = read_fifo(path.read_text(), getattr(ingest, self.kind.load))
-        self.assert_same(got, self.parse(path))
+        got = read_fifo(path.read_text(), getattr(ingest, self.kind.parse))
         assert entries() == []
+        self.assert_same(got, self.parse(path))
 
     def test_edited_file_of_the_same_size_and_mtime_misses(self, tmp_path, entries):
         path = tmp_path / "data.csv"
         self.write_values(path, [10.5, 11.5])
         stat = path.stat()
-        assert self.tail(self.load(path)) == [10.5, 11.5]
+        assert self.tail(self.parse(path)) == [10.5, 11.5]
         self.write_values(path, [10.5, 12.5])
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert path.stat().st_size == stat.st_size
-        assert self.tail(self.load(path)) == [10.5, 12.5]
+        assert self.tail(self.parse(path)) == [10.5, 12.5]
         assert len(entries()) == 2
 
     @pytest.mark.parametrize("change", ["mfvol_version", "numpy_version", "python_version",
@@ -727,7 +760,7 @@ class TestTickCache:
     def test_other_parsing_code_misses(self, tmp_path, entries, monkeypatch, change):
         path = tmp_path / "data.csv"
         self.write_values(path, [10.5])
-        self.load(path)
+        self.parse(path)
         if change == "mfvol_version":
             monkeypatch.setattr(mfvol, "__version__", mfvol.__version__ + ".post1")
         elif change == "numpy_version":
@@ -738,44 +771,44 @@ class TestTickCache:
             edited = tmp_path / "ingest.py"
             edited.write_bytes(Path(ingest.__file__).read_bytes() + b"\n")
             monkeypatch.setattr(ingest, "__file__", str(edited))
-        self.load(path)
+        self.parse(path)
         assert len(entries()) == 2
 
     def test_file_written_while_parsed_is_not_cached(self, tmp_path, entries, monkeypatch):
         path = tmp_path / "data.csv"
         self.write_values(path, [10.5])
-        parse = getattr(ingest, self.kind.parse)
+        loadtxt = np.loadtxt
 
-        def parse_then_edit(source):
-            result = parse(source)
+        def read_then_edit(*args, **kwargs):
+            rows = loadtxt(*args, **kwargs)
             self.write_values(path, [12.5])
-            return result
+            return rows
 
-        monkeypatch.setattr(ingest, self.kind.parse, parse_then_edit)
-        assert self.tail(self.load(path)) == [10.5]
+        monkeypatch.setattr(np, "loadtxt", read_then_edit)
+        assert self.tail(self.parse(path)) == [10.5]
         assert entries() == []
 
-    def test_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, entries, damage):
+    def test_bad_entry_is_parsed_again_and_rewritten(self, tmp_path, entries, reads, damage):
         path = tmp_path / "data.csv"
         self.write(path, 500, seed=8)
         want = self.parse(path)
-        self.load(path)
         (entry,) = entries()
-        arrays = dict(zip(self.kind.entry.keys, self.kind.entry.arrays(want)))
+        rows = ingest._read_entry(entry, self.kind.dtype)
         if damage == "truncated":
             entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
         elif damage == "garbage":
             entry.write_bytes(b"not a cache entry")
-        elif damage == "npy":
+        elif damage == "npz":  # np.load would give an NpzFile
             with open(entry, "wb") as fh:
-                np.save(fh, arrays[self.kind.entry.keys[1]])
+                np.savez(fh, rows=rows)
         else:
-            arrays = self.kind.damages[damage](arrays)
             with open(entry, "wb") as fh:
-                np.savez(fh, **arrays)
-        self.assert_same(self.load(path), want)
-        assert entries() == [entry]
-        self.assert_same(ingest._read_entry(entry, self.kind.entry), want)
+                np.save(fh, self.kind.damages[damage](rows))
+        reads.clear()
+        self.assert_same(self.parse(path), want)
+        assert reads == [path] and entries() == [entry]
+        got = ingest._read_entry(entry, self.kind.dtype)
+        assert got.dtype == rows.dtype and np.array_equal(got, rows)
 
     @pytest.mark.parametrize("where", ["file_as_cache_home", "file_as_cache_dir",
                                        "no_home"])
@@ -786,22 +819,41 @@ class TestTickCache:
             (tmp_path / "file").write_text("")
         elif where == "file_as_cache_dir":
             (tick_cache_home / "mfvol").mkdir()
-            (tick_cache_home / "mfvol" / self.kind.entry.folder).write_text("")
+            (tick_cache_home / "mfvol" / "parsed").write_text("")
         else:
             monkeypatch.delenv("XDG_CACHE_HOME")
             monkeypatch.delenv("HOME", raising=False)
-            assert ingest._cache_dir(self.kind.entry.folder) is None
+            assert ingest._cache_dir() is None
         path = tmp_path / "data.csv"
         self.write(path, 200, seed=9)
         for _ in range(2):
-            self.assert_same(self.load(path), self.parse(path))
+            self.assert_same(self.parse(path), self.reference(path))
+
+    @pytest.mark.parametrize("xdg_cache_home", [None, "relative/cache"])
+    def test_cache_folder_under_home_without_an_absolute_xdg_cache_home(
+            self, tmp_path, monkeypatch, keys, xdg_cache_home):
+        # the XDG spec ignores a relative path
+        home = tmp_path / "home"
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(tmp_path)
+        if xdg_cache_home is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg_cache_home)
+        path = tmp_path / "data.csv"
+        self.write(path, 100, seed=12)
+        self.parse(path)
+        folder = home / ".cache" / "mfvol" / "parsed"
+        assert ingest._cache_dir() == folder
+        assert [e.name for e in folder.iterdir()] == [keys[path]]
+        assert not (tmp_path / "relative").exists()
 
     @pytest.mark.parametrize("flaw", ["group_writable", "world_readable", "other_owner"])
-    def test_folder_open_to_others_is_not_used(self, tmp_path, tick_cache_home, entries,
-                                               monkeypatch, flaw):
+    def test_folder_open_to_others_is_not_used(self, tmp_path, entries, reads, monkeypatch,
+                                               flaw):
         path = tmp_path / "data.csv"
         self.write(path, 200, seed=9)
-        want = self.load(path)
+        want = self.parse(path)
         (entry,) = entries()
         before = entry.stat().st_mtime_ns
         folder = entry.parent
@@ -810,48 +862,60 @@ class TestTickCache:
             monkeypatch.setattr(os, "getuid", lambda: uid + 1)
         else:
             folder.chmod(0o720 if flaw == "group_writable" else 0o704)
-        parses = []
-        parse = getattr(ingest, self.kind.parse)
-        monkeypatch.setattr(ingest, self.kind.parse,
-                            lambda src: parses.append(src) or parse(src))
         other = tmp_path / "other.csv"
         self.write(other, 100, seed=10)
-        self.assert_same(self.load(path), want)
-        self.load(other)
-        assert parses == [path, other]  # no entry is read, and none is written
+        reads.clear()
+        self.assert_same(self.parse(path), want)
+        self.parse(other)
+        assert reads == [path, other]  # no entry is read, and none is written
         assert entries() == [entry] and entry.stat().st_mtime_ns == before
 
-    def test_keeps_the_most_recently_used_entries(self, tmp_path, entries):
+    def test_keeps_the_most_recently_used_entries(self, tmp_path, entries, keys):
         paths = [tmp_path / f"data{k}.csv" for k in range(ingest.TICK_CACHE_ENTRIES + 2)]
         for k, path in enumerate(paths):
             self.write(path, 1, seed=k)
         n = ingest.TICK_CACHE_ENTRIES
         for path in [*paths[:n], paths[0], *paths[n:]]:  # the hit on paths[0] is a use
-            self.load(path)
-        assert {e.name for e in entries()} == {
-            ingest._content_key(p) + ".npz" for p in [paths[0], *paths[3:]]}
+            self.parse(path)
+        assert {e.name for e in entries()} == {keys[p] for p in [paths[0], *paths[3:]]}
 
-    def test_entries_fit_in_the_byte_bound(self, tmp_path, entries, monkeypatch):
+    def test_entries_fit_in_the_byte_bound(self, tmp_path, entries, keys, monkeypatch):
         paths = [tmp_path / f"data{k}.csv" for k in range(3)]
         for k, (n, path) in enumerate(zip([100, 100, 300], paths)):
             self.write(path, n, seed=20 + k)
         # 250 rows above the padding
-        monkeypatch.setattr(ingest, "TICK_CACHE_BYTES", self.kind.row_bytes * (self.kind.pad + 250))
-        names = [ingest._content_key(path) + ".npz" for path in paths]
-        self.load(paths[0])
-        self.load(paths[2])  # 300 rows: not stored, and nothing is dropped
-        assert [e.name for e in entries()] == [names[0]]
-        self.load(paths[1])  # two entries and their headers would not fit
-        assert [e.name for e in entries()] == [names[1]]
+        monkeypatch.setattr(ingest, "TICK_CACHE_BYTES",
+                            self.kind.dtype.itemsize * (self.kind.pad + 250))
+        self.parse(paths[0])
+        self.parse(paths[2])  # 300 rows: not stored, and nothing is dropped
+        assert [e.name for e in entries()] == [keys[paths[0]]]
+        self.parse(paths[1])  # two entries and their headers would not fit
+        assert [e.name for e in entries()] == [keys[paths[1]]]
 
-    def test_malformed_file_raises_and_is_not_cached(self, tmp_path, entries):
+    # np.loadtxt fails on abc, and reads nan, which the check then rejects
+    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    def test_malformed_file_raises_and_is_not_cached(self, tmp_path, entries, bad):
         path = tmp_path / "data.csv"
-        self.write_values(path, ["10.0", "11.0", "abc"])
+        self.write_values(path, ["10.0", "11.0", bad])
         line = (1 if self.kind.header else 0) + self.kind.pad + 3
         for _ in range(2):
-            with pytest.raises(self.kind.error, match=f"line {line}"):
-                self.load(path)
+            with pytest.raises(self.kind.error if bad == "abc" else ValueError,
+                               match=f"^line {line}: "):
+                self.parse(path)
         assert entries() == []
+
+    @pytest.mark.parametrize("odd", ["   ", "1_000"])
+    def test_file_only_the_line_loop_reads_is_not_cached(self, tmp_path, entries, reads,
+                                                          odd):
+        path = tmp_path / "data.csv"
+        self.write_values(path, ["10.0", "11.0"])
+        with open(path, "a") as fh:  # a whitespace-only line, or a number np.loadtxt refuses
+            fh.write(f"{odd}\n" if odd.isspace() else f"{odd}0,12.0,{self.kind.third}\n")
+        want = self.reference(path)
+        reads.clear()
+        for _ in range(2):
+            self.assert_same(self.parse(path), want)
+        assert reads.count("loop") == 2 and entries() == []
 
     def near_the_bound(self, path, size):
         """A file of ``size`` bytes, all of its values 10.5."""
@@ -864,55 +928,52 @@ class TestTickCache:
         path.write_text("".join(rows))
         assert path.stat().st_size == size
 
-    def test_only_files_from_the_bound_up_are_cached(self, tmp_path, entries, monkeypatch):
-        key = ingest._content_key
-        keyed = []
-        monkeypatch.setattr(ingest, "_content_key", lambda p: keyed.append(p) or key(p))
+    def test_only_files_from_the_bound_up_are_cached(self, tmp_path, entries, keys):
         small, large = tmp_path / "small.csv", tmp_path / "large.csv"
         self.near_the_bound(small, ingest._TEXT_READ_BYTES - 1)
         self.near_the_bound(large, ingest._TEXT_READ_BYTES)
-        self.assert_same(self.load(small), self.parse(small))
-        assert keyed == [] and entries() == []
-        self.assert_same(self.load(large), self.parse(large))
-        assert keyed == [large] and len(entries()) == 1
+        self.assert_same(self.parse(small), self.reference(small))
+        assert keys == {} and entries() == []
+        self.assert_same(self.parse(large), self.reference(large))
+        assert list(keys) == [large] and len(entries()) == 1
 
-    def test_a_str_is_a_path_to_the_load_and_text_to_the_parse(self, tmp_path, entries):
+    def test_a_str_is_text_and_is_not_cached(self, tmp_path, entries):
         small, large = tmp_path / "small.csv", tmp_path / "large.csv"
         self.kind.write(small, 100, seed=11)  # no padding rows: under the bound
         self.write(large, 100, seed=11)
         for path in (small, large):
-            self.assert_same(self.load(str(path)), self.parse(path))
             with pytest.raises(self.kind.error, match="^line 1: "):
                 self.parse(str(path))
-        assert len(entries()) == 1
+        assert entries() == []
 
     def test_hit_memory_is_about_the_arrays(self, tmp_path):
         path = tmp_path / "data.csv"
         self.write(path, 45_000, seed=5)  # ≈ 2 MB of ticks
-        self.load(path)
-        result, peak = TestPathReadMemory.peak(getattr(ingest, self.kind.load), path)
+        self.parse(path)
+        result, peak = TestPathReadMemory.peak(getattr(ingest, self.kind.parse), path)
         assert len(result) == 45_000 + self.kind.pad
         assert peak < 1.5 * path.stat().st_size
 
 
 class TestReturnsCache(TestTickCache):
-    """`load_returns`: `read_returns_csv` behind the same cache, in its own
-    folder."""
+    """`read_returns_csv` behind the same cache."""
 
     kind = _RETURNS_CACHE
 
-    def test_entries_of_the_same_bytes_stay_apart(self, tmp_path, tick_cache_home,
+    def test_entries_of_the_same_bytes_stay_apart(self, tmp_path, entries, reads, keys,
                                                   monkeypatch):
         # three fields a row: a tick file, and a returns file without a flag
         path = tmp_path / "both.csv"
         path.write_text("".join(f"{60 * i},10.5,1\n" for i in range(1, 8_000)))
         assert path.stat().st_size >= ingest._TEXT_READ_BYTES
-        ticks, returns = ingest.load_ticks(path), ingest.load_returns(path)
-        names = {folder: [e.name for e in (tick_cache_home / "mfvol" / folder).glob("*")]
-                 for folder in ("ticks", "returns")}
-        assert names["ticks"] == names["returns"] == [ingest._content_key(path) + ".npz"]
-        monkeypatch.setattr(ingest, "parse_ticks", None)
-        monkeypatch.setattr(ingest, "read_returns_csv", None)
+        ticks = ingest.parse_ticks(path)
+        tick_entry = keys.pop(path)
+        returns = ingest.read_returns_csv(path)
+        assert {e.name for e in entries()} == {tick_entry, keys[path]}
+        assert len(entries()) == 2
+        monkeypatch.setattr(ingest, "_parse_tick_lines", None)
+        reads.clear()
         for _ in range(2):  # hits, whichever kind is read first
-            self.assert_same(ingest.load_returns(path), returns)
-            self.assert_same(ingest.load_ticks(path), ticks)
+            self.assert_same(ingest.read_returns_csv(path), returns)
+            self.assert_same(ingest.parse_ticks(path), ticks)
+        assert reads == []

@@ -187,6 +187,20 @@ class TestJoin:
         assert len(joined.rows) == 1
         assert joined.dropped == {"a": 1, "b": 0}
 
+    @pytest.mark.parametrize("names, column", [(["t", "t", "t"], "t_h2"),
+                                               (["a", "b", "b"], "b_h2")])
+    def test_a_column_written_twice_raises(self, names, column):
+        track = rolling.RollingTrack([
+            {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"h2": 1.0}}
+        ])
+        # the second track's column is prefixed; the third's prefix would collide
+        with pytest.raises(ValueError, match=f"^column {column} would be written twice"):
+            rolling.join_measures([track] * 3, names=names)
+        joined = rolling.join_measures([track] * 3, names=["a", "b", "c"])
+        assert joined.columns == ["window_end", "h2", "b_h2", "c_h2"]
+        assert rolling.join_measures([track] * 2, names=["t", "t"]).columns == [
+            "window_end", "h2", "t_h2"]
+
 
 class TestCsv:
     def test_roundtrip(self):
