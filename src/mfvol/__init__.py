@@ -9,6 +9,6 @@ _validate (input checks).
 
 from . import ingest, kernels, mfdfa, rolling, stats, synth, tgarch
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = ["ingest", "kernels", "mfdfa", "rolling", "stats", "synth", "tgarch", "__version__"]

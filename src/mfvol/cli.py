@@ -12,7 +12,8 @@ for "_", its --config key is <name>, and its value resolves as
 command-line flag > --config JSON file > default.  A config key that no
 subcommand knows is a usage error; a key of another subcommand is ignored,
 so one config file can serve a whole pipeline.  Relative input paths are
-resolved against $MFVOL_DATA_DIR when set.  Numbers in CSV tables carry 17
+resolved against $MFVOL_DATA_DIR when set, and the manifest names the file
+read.  Numbers in CSV tables carry 17
 significant digits; JSON files use Python's shortest round-trip repr.
 """
 
@@ -194,19 +195,18 @@ def _write(path, text):
             fh.write(text[start:start + _WRITE_CHARS])
 
 
-def _write_manifest(args, settings, seeds):
+def _write_manifest(args, inputs, settings, seeds):
+    """``inputs`` are the files read: one that $MFVOL_DATA_DIR resolved is
+    recorded as read, any other as given."""
     manifest = {
         "subcommand": args.subcommand,
-        "inputs": [str(p) for p in args.inputs],
+        "inputs": [str(given) if Path(given) == read else str(read)
+                   for given, read in zip(args.inputs, inputs)],
         "config": settings,
         "version": __version__,
         "seeds": seeds or {},
     }
     _write(str(args.output) + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _read_returns(path):
-    return ingest.read_returns_csv(_resolve_input(path))
 
 
 def cmd_ingest(s, inputs, output):
@@ -217,7 +217,7 @@ def cmd_ingest(s, inputs, output):
         raise UsageError("--outlier-threshold must be positive")
     # no name keeps the ticks or the bars, so they are freed before the table is built
     returns = ingest.log_returns(ingest.resample_last(
-        ingest.parse_ticks(_resolve_input(inputs[0])), s["delta_t"]))
+        ingest.parse_ticks(inputs[0]), s["delta_t"]))
     if s["outlier_mode"] != "none":
         returns = ingest.filter_outliers(returns, s["outlier_threshold"], s["outlier_mode"])
     _write(output, ingest.returns_to_csv(returns))
@@ -225,10 +225,14 @@ def cmd_ingest(s, inputs, output):
 
 
 def cmd_stats(s, inputs, output):
-    returns = _read_returns(inputs[0])
+    if s["volatility_output"] and os.path.abspath(s["volatility_output"]) in (
+            os.path.abspath(output), os.path.abspath(f"{output}.manifest.json")):
+        raise UsageError(f"--volatility-output {s['volatility_output']} would overwrite "
+                         "the statistics or their manifest")
+    returns = ingest.read_returns_csv(inputs[0])
     desc = stats.descriptive(returns.values)
     vol = stats.volatility_series(returns, s0=s["s0"], r_bar_mode=s["r_bar_mode"])
-    doc = {"descriptive": desc.as_dict(), "r_bar": vol.r_bar, "s0": s["s0"]}
+    doc = {"descriptive": desc, "r_bar": vol.r_bar, "s0": s["s0"]}
     _write(output, json.dumps(doc, indent=2))
     if s["volatility_output"]:
         _write(s["volatility_output"], ingest.csv_table(
@@ -250,7 +254,7 @@ def cmd_agg_gauss(s, inputs, output):
     if s["min_nobs"] < stats.DESCRIPTIVE_MIN_OBS:
         raise UsageError(f"--min-nobs must be at least {stats.DESCRIPTIVE_MIN_OBS}, "
                          "the returns a kurtosis needs")
-    ticks = ingest.parse_ticks(_resolve_input(inputs[0]))
+    ticks = ingest.parse_ticks(inputs[0])
     scan = stats.agg_gaussianity_scan(ticks, s["delta_ts"], fit_range=fit_range,
                                       min_nobs=s["min_nobs"])
     _write(output, stats.scan_to_csv(scan))
@@ -262,7 +266,7 @@ def cmd_agg_gauss(s, inputs, output):
 
 
 def cmd_tgarch(s, inputs, output):
-    returns = _read_returns(inputs[0])
+    returns = ingest.read_returns_csv(inputs[0])
     fit = tgarch.fit(returns.values, dist=s["dist"])
     _write(output, tgarch.fit_to_json(fit))
     return {"multistart": tgarch.MULTISTART_SEED}
@@ -293,7 +297,7 @@ def _mfdfa_config(s):
 
 def cmd_mfdfa(s, inputs, output):
     cfg = _mfdfa_config(s)
-    returns = _read_returns(inputs[0])
+    returns = ingest.read_returns_csv(inputs[0])
     result = mfdfa.analyze(returns.values, cfg)
     _write(f"{output}_fq.csv", mfdfa.fluct_to_csv(result["fluctuation"]))
     _write(f"{output}_hurst.csv", mfdfa.hurst_to_csv(result["hurst"]))
@@ -333,14 +337,14 @@ def _rolling_estimator(s):
         if s["window"] < stats.DESCRIPTIVE_MIN_OBS:
             raise UsageError(f"--window {s['window']} is too short for the statistics: "
                              f"they need {stats.DESCRIPTIVE_MIN_OBS} returns")
-        return rolling.each_window(lambda values: stats.descriptive(values).as_dict())
+        return rolling.each_window(stats.descriptive)
     raise ValueError(f"unknown estimator {name!r}")
 
 
 def cmd_rolling(s, inputs, output):
     config = _checked(lambda: rolling.RollingConfig(window=s["window"], step=s["step"]))
     estimator = _rolling_estimator(s)
-    returns = _read_returns(inputs[0])
+    returns = ingest.read_returns_csv(inputs[0])
     track = rolling.rolling_apply(returns, config, estimator)
     _write(output, rolling.track_to_csv(track))
     if s["estimator"] == "tgarch":
@@ -351,16 +355,15 @@ def cmd_join(s, inputs, output):
     if len(inputs) < 2:
         raise UsageError("--inputs must name at least 2 tracks to join")
     tracks = []
-    for name in inputs:
-        path = _resolve_input(name)
+    for path in inputs:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         try:
             tracks.append(rolling.read_track_csv(text))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    table = rolling.join_measures(tracks, names=[Path(p).stem for p in inputs])
-    _write(output, rolling.joined_to_csv(table))
+    rows = rolling.join_measures(tracks, names=[p.stem for p in inputs])
+    _write(output, rolling.joined_to_csv(rows))
 
 
 def cmd_simulate(s, inputs, output):
@@ -438,8 +441,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = resolve(args, _load_config(args.config))
-        seeds = args.func(settings, args.inputs, args.output)
-        _write_manifest(args, settings, seeds)
+        inputs = [_resolve_input(p) for p in args.inputs]
+        seeds = args.func(settings, inputs, args.output)
+        _write_manifest(args, inputs, settings, seeds)
         return 0
     except UsageError as exc:
         parser.error(str(exc))

@@ -1,5 +1,6 @@
 """Rolling-window engine: apply any estimator over sliding windows and
-assemble time-indexed tracks of the results.
+assemble time-indexed tracks of the results, and join tracks on their
+window ends into plain rows.
 
 Windows are index-based on the regular (gap-filled) return grid: window k
 covers indices [k*step, k*step + window).  The estimator gets all windows at
@@ -86,15 +87,10 @@ def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
     return RollingTrack(rows=rows)
 
 
-@dataclass
-class JoinedTable:
-    columns: list
-    rows: list
-    dropped: dict  # per-track count of rows without a match
-
-
-def join_measures(tracks, names=None) -> JoinedTable:
-    """Inner join of tracks on window_end for cross-measure scatters.
+def join_measures(tracks, names=None) -> list:
+    """Inner join of tracks on window_end for cross-measure scatters: one
+    dict per common window, in window_end order, keyed window_end and then
+    the tracks' payload keys.
 
     Only status-ok rows participate.  Colliding payload keys are prefixed
     with the track name (or its index).  Raises if no window labels overlap,
@@ -116,8 +112,6 @@ def join_measures(tracks, names=None) -> JoinedTable:
     if not common:
         raise ValueError("tracks have no overlapping windows")
 
-    dropped = {names[i]: len(m) - len(common) for i, m in enumerate(maps)}
-    seen, columns = set(), []
     rows = []
     for end in sorted(common):
         merged = {"window_end": end}
@@ -129,11 +123,7 @@ def join_measures(tracks, names=None) -> JoinedTable:
                                      "the tracks need distinct names")
                 merged[col] = val
         rows.append(merged)
-        for col in merged:
-            if col not in seen:
-                seen.add(col)
-                columns.append(col)
-    return JoinedTable(columns=columns, rows=rows, dropped=dropped)
+    return rows
 
 
 def _fmt(x):
@@ -142,12 +132,13 @@ def _fmt(x):
     return str(x)
 
 
+def _keys(dicts):
+    """The keys of ``dicts`` in order of first appearance: a table's columns."""
+    return list(dict.fromkeys(key for d in dicts for key in d))
+
+
 def track_to_csv(track: RollingTrack) -> str:
-    keys = []
-    for row in track.rows:
-        for key in row.get("payload", {}):
-            if key not in keys:
-                keys.append(key)
+    keys = _keys(row.get("payload", {}) for row in track.rows)
     out = [",".join(["window_start", "window_end", *keys, "status"])]
     for row in track.rows:
         payload = row.get("payload", {})
@@ -195,8 +186,10 @@ def read_track_csv(text: str) -> RollingTrack:
     return RollingTrack(rows=rows)
 
 
-def joined_to_csv(table: JoinedTable) -> str:
-    out = [",".join(table.columns)]
-    for row in table.rows:
-        out.append(",".join(_fmt(row.get(c, "")) for c in table.columns))
+def joined_to_csv(rows) -> str:
+    """CSV of `join_measures` rows; a cell whose row lacks the column is empty."""
+    columns = _keys(rows)
+    out = [",".join(columns)]
+    for row in rows:
+        out.append(",".join(_fmt(row.get(c, "")) for c in columns))
     return "\n".join(out) + "\n"

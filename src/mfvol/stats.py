@@ -1,5 +1,5 @@
-"""Descriptive statistics with jackknife errors, the cumulative volatility
-series, and the aggregational-Gaussianity kurtosis scan.
+"""Descriptive statistics with jackknife errors (a plain dict), the
+cumulative volatility series, and the aggregational-Gaussianity kurtosis scan.
 
 Moment conventions: SD uses the n-1 denominator; skewness and kurtosis use
 n-denominator central moments (raw Pearson kurtosis, Gaussian = 3).
@@ -15,22 +15,6 @@ from ._linfit import fit_line
 from ._validate import finite_array
 
 DESCRIPTIVE_MIN_OBS = 4  # values `descriptive` needs
-
-
-@dataclass
-class DescriptiveStats:
-    mean: float
-    sd: float
-    kurtosis: float
-    skewness: float
-    nobs: int
-    se_mean: float
-    se_sd: float
-    se_kurtosis: float
-    se_skewness: float
-
-    def as_dict(self):
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -162,23 +146,25 @@ def _moments(values):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # rejected in _moments
-def descriptive(values) -> DescriptiveStats:
-    """Mean, SD, kurtosis, skewness with delete-one jackknife errors."""
+def descriptive(values) -> dict:
+    """Mean, SD, kurtosis, skewness with delete-one jackknife errors: a dict
+    with the keys mean, sd, kurtosis, skewness, nobs, se_mean, se_sd,
+    se_kurtosis and se_skewness, in that order."""
     mean, y, sums, skewness, kurtosis = _moments(values)
     n = len(y)
     # _se_from_replicates rejects the non-finite replicate of a constant subsample
     mean_r, sd_r, skew_r, kurt_r = _jackknife_moment_replicates(mean, y, *sums)
-    return DescriptiveStats(
-        mean=mean,
-        sd=math.sqrt(sums[0] / (n - 1)),
-        kurtosis=float(kurtosis),
-        skewness=float(skewness),
-        nobs=n,
-        se_mean=_se_from_replicates(mean_r),
-        se_sd=_se_from_replicates(sd_r),
-        se_kurtosis=_se_from_replicates(kurt_r),
-        se_skewness=_se_from_replicates(skew_r),
-    )
+    return {
+        "mean": mean,
+        "sd": math.sqrt(sums[0] / (n - 1)),
+        "kurtosis": float(kurtosis),
+        "skewness": float(skewness),
+        "nobs": n,
+        "se_mean": _se_from_replicates(mean_r),
+        "se_sd": _se_from_replicates(sd_r),
+        "se_kurtosis": _se_from_replicates(kurt_r),
+        "se_skewness": _se_from_replicates(skew_r),
+    }
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # as in descriptive

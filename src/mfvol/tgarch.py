@@ -13,7 +13,10 @@ The likelihood is conditional on the first return; the variance recursion is
 seeded with the sample variance of the fitted window.  `filter_volatility`
 returns the (sigma2, eps) arrays of that recursion, and `std_errors` the
 standard errors by parameter name, or None when the Hessian is not finite or
-not positive definite; a fit's ``hessian_ok`` says which.
+not positive definite; a fit's ``hessian_ok`` says which.  These two and
+`neg_log_likelihood` take their inputs through one check, so parameters that
+do not validate, a bad sample or a presample variance outside (0, inf) raise
+ValueError from each of them alike.
 """
 
 import json
@@ -122,6 +125,20 @@ def _default_sigma2_init(returns):
     return var
 
 
+def _checked(params, returns, sigma2_init):
+    """``(returns, sigma2_init)`` as `filter_volatility`, `neg_log_likelihood`
+    and `std_errors` take them: ValueError unless ``params`` validate, the
+    returns are at least 2 finite values and the presample variance is
+    positive and finite; a missing one is the returns' sample variance."""
+    params.validate()
+    r = finite_array(returns, "returns", 2)
+    if sigma2_init is None:
+        return r, _default_sigma2_init(r)
+    if not 0.0 < sigma2_init < math.inf:
+        raise ValueError(f"sigma2_init must be positive and finite, got {sigma2_init}")
+    return r, sigma2_init
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def filter_volatility(params: TgarchParams, returns, sigma2_init=None):
     """Run the residual/variance recursion under fixed parameters.
@@ -129,10 +146,7 @@ def filter_volatility(params: TgarchParams, returns, sigma2_init=None):
     Returns the arrays (sigma2, eps) of `kernels.tgarch_recursion`; sigma2[0]
     is the presample variance ``sigma2_init``.
     """
-    params.validate()
-    r = finite_array(returns, "returns", 2)
-    if sigma2_init is None:
-        sigma2_init = _default_sigma2_init(r)
+    r, sigma2_init = _checked(params, returns, sigma2_init)
     sigma2, eps = kernels.tgarch_recursion(r, params, sigma2_init)
     if not (sigma2.min() > 0 and sigma2.max() < math.inf):
         raise ValueError("conditional variance left the positive finite domain")
@@ -142,10 +156,7 @@ def filter_volatility(params: TgarchParams, returns, sigma2_init=None):
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def neg_log_likelihood(params: TgarchParams, returns, sigma2_init=None) -> float:
     """Conditional NLL summed over observations 2..n (AR lag consumes one)."""
-    params.validate()
-    r = finite_array(returns, "returns", 2)
-    if sigma2_init is None:
-        sigma2_init = _default_sigma2_init(r)
+    r, sigma2_init = _checked(params, returns, sigma2_init)
     nll = kernels.tgarch_nll(r, params, sigma2_init)
     if not math.isfinite(nll):
         raise ValueError("non-finite likelihood (invalid parameters or data)")
@@ -299,9 +310,7 @@ def std_errors(returns, params: TgarchParams, free=None, sigma2_init=None) -> di
     for a non-finite (an overflowing step, say) or non-positive-definite
     Hessian.
     """
-    r = finite_array(returns, "returns", 2)
-    if sigma2_init is None:
-        sigma2_init = _default_sigma2_init(r)
+    r, sigma2_init = _checked(params, returns, sigma2_init)
     all_names = params.free_names()
     names = list(free) if free is not None else all_names
     idx = [all_names.index(n) for n in names]

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfvol import cli, ingest, mfdfa, synth
+from mfvol import cli, ingest, mfdfa, synth, tgarch
 
 
 def run(argv):
@@ -114,6 +115,37 @@ class TestStats:
         assert vol_lines[0] == "t,s"
         assert len(vol_lines) == 402  # s_0 .. s_400
 
+    @pytest.mark.parametrize("volatility", ["s.json", "s.json.manifest.json"])
+    def test_volatility_output_clashing_with_an_output_usage_error(
+            self, tmp_path, monkeypatch, volatility):
+        series = tmp_path / "r.csv"
+        run(["simulate", "--model", "gaussian", "--n", "50", "-o", str(series)])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        # the same file by another spelling of its path
+        for out in ("s.json", str(tmp_path / "s.json"), "./s.json"):
+            with pytest.raises(SystemExit) as exc:
+                run(["stats", "--input", str(series), "-o", out,
+                     "--volatility-output", volatility])
+            assert exc.value.code == 2
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_manifest_names_the_input_file_read(self, tmp_path, monkeypatch):
+        data, work = tmp_path / "data", tmp_path / "work"
+        work.mkdir()
+        run(["simulate", "--model", "gaussian", "--n", "50", "-o", str(data / "r.csv")])
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("MFVOL_DATA_DIR", str(data))
+        assert run(["stats", "--input", "r.csv", "-o", "s.json"]) == 0
+        manifest = json.loads((work / "s.json.manifest.json").read_text())
+        assert manifest["inputs"] == [str(data / "r.csv")]
+        # a file the data dir did not resolve is recorded as given
+        (work / "r.csv").write_bytes((data / "r.csv").read_bytes())
+        for given in ("r.csv", "./r.csv", str(work / "r.csv")):
+            assert run(["stats", "--input", given, "-o", "s.json"]) == 0
+            manifest = json.loads((work / "s.json.manifest.json").read_text())
+            assert manifest["inputs"] == [given]
+
 
 class TestTgarch:
     def test_fit_json_schema(self, tmp_path):
@@ -206,6 +238,31 @@ class TestRollingAndJoin:
         assert run(["join", "--inputs", *map(str, tracks), "-o", str(out)]) == 0
         assert "None" not in out.read_text()
         assert len(out.read_text().splitlines()) > 1
+
+    def test_tgarch_window_without_convergence_fails_alone(self, tmp_path, monkeypatch):
+        series = tmp_path / "s.csv"
+        run(["simulate", "--model", "tgarch", "--n", "160", "--seed", "5", "-o", str(series)])
+        real_fit, calls = tgarch.fit, []
+
+        def fit(values, dist):
+            calls.append(len(values))
+            result = real_fit(values, dist=dist)
+            return replace(result, converged=False) if len(calls) == 2 else result
+
+        monkeypatch.setattr(tgarch, "fit", fit)
+        flags = ["--input", str(series), "--window", "100", "--step", "30"]
+        garch, sd = tmp_path / "garch.csv", tmp_path / "sd.csv"
+        assert run(["rolling", "--estimator", "tgarch", *flags, "-o", str(garch)]) == 0
+        assert calls == [100, 100, 100]
+        header, *rows = [line.split(",") for line in garch.read_text().splitlines()]
+        assert [row[-1] for row in rows] == ["ok", "failed", "ok"]
+        assert rows[1][2:-1] == [""] * (len(header) - 3)
+        assert all("" not in row for row in (rows[0], rows[2]))
+        assert run(["rolling", "--estimator", "stats", *flags, "-o", str(sd)]) == 0
+        joined = tmp_path / "joined.csv"
+        assert run(["join", "--inputs", str(garch), str(sd), "-o", str(joined)]) == 0
+        ends = [line.split(",")[0] for line in joined.read_text().splitlines()[1:]]
+        assert ends == [rows[0][1], rows[2][1]]
 
     def test_tracks_of_one_stem_exit_one(self, tmp_path, capsys):
         # the second track's columns are prefixed with its stem, and a third

@@ -224,6 +224,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 4: non-finite"):
             ingest.read_returns_csv(text)
 
+    @pytest.mark.parametrize("read", [ingest.parse_ticks, ingest.read_returns_csv],
+                             ids=["ticks", "returns"])
+    @pytest.mark.parametrize("source", [123, 1.5, None, ["86400,1.5"]],
+                             ids=["int", "float", "none", "list"])
+    def test_source_of_another_type_raises_type_error(self, read, source):
+        with pytest.raises(TypeError, match="source must be a path, str, bytes"):
+            read(source)
+
     def test_read_returns_timestamp_beyond_int64_names_its_line(self):
         with pytest.raises(ValueError, match="line 2: .*int64"):
             ingest.read_returns_csv("timestamp,value\n99999999999999999999,1.0\n")

@@ -629,3 +629,25 @@ def test_mfdfa_imports_no_scipy():
     names = _imports("mfvol.mfdfa", {"mfvol.mfdfa"})
     assert "mfvol._validate" in names
     assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fit_line([1.0], [2.0]), "need at least 2 points"),
+    (lambda: fit_line([], []), "need at least 2 points"),
+    (lambda: fit_line([3.0, 3.0, 3.0], [1.0, 2.0, 4.0]), "degenerate abscissa"),
+    (lambda: mfdfa.multifractality_degree(_monofractal_curve(), 0.0), "q must be positive"),
+    (lambda: mfdfa.multifractality_degree(_monofractal_curve(), -4.0), "q must be positive"),
+    (lambda: mfdfa.delta_alpha(mfdfa.singularity_spectrum(_monofractal_curve()), 0.0),
+     "q must be positive"),
+    (lambda: mfdfa.delta_alpha(mfdfa.singularity_spectrum(_monofractal_curve()), -4.0),
+     "q must be positive"),
+], ids=["fit-line-1-point", "fit-line-0-points", "fit-line-equal-x", "degree-q-0",
+        "degree-q-negative", "delta-alpha-q-0", "delta-alpha-q-negative"])
+def test_typed_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _monofractal_curve():
+    q = mfdfa.default_q_grid()
+    return mfdfa.HurstCurve(q, np.full(len(q), 0.5), np.zeros(len(q)), np.ones(len(q)))

@@ -149,8 +149,8 @@ class TestJoin:
         t2 = rolling.rolling_apply(series, cfg,
                                    rolling.each_window(lambda v: {"sd": float(np.std(v))}))
         joined = rolling.join_measures([t1, t2])
-        assert len(joined.rows) == 89
-        assert {"window_end", "mean", "sd"} <= set(joined.columns)
+        assert len(joined) == 89
+        assert all(list(row) == ["window_end", "mean", "sd"] for row in joined)
 
     def test_grid_containment(self):
         series = make_returns(800, seed=5)
@@ -162,7 +162,7 @@ class TestJoin:
             rolling.each_window(lambda v: {"sd": float(np.std(v))}),
         )
         joined = rolling.join_measures([coarse, fine])
-        assert len(joined.rows) == len(coarse.rows)
+        assert len(joined) == len(coarse.rows)
 
     def test_disjoint_error(self):
         t1 = rolling.RollingTrack([
@@ -174,7 +174,7 @@ class TestJoin:
         with pytest.raises(ValueError, match="no overlapping"):
             rolling.join_measures([t1, t2])
 
-    def test_failed_rows_excluded_and_counted(self):
+    def test_failed_rows_excluded(self):
         t1 = rolling.RollingTrack([
             {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"x": 1.0}},
             {"window_start": 1, "window_end": 10, "status": "ok", "payload": {"x": 2.0}},
@@ -184,8 +184,7 @@ class TestJoin:
             {"window_start": 1, "window_end": 10, "status": "failed", "error": "x"},
         ])
         joined = rolling.join_measures([t1, t2], names=["a", "b"])
-        assert len(joined.rows) == 1
-        assert joined.dropped == {"a": 1, "b": 0}
+        assert joined == [{"window_end": 9, "x": 1.0, "y": 3.0}]
 
     @pytest.mark.parametrize("names, column", [(["t", "t", "t"], "t_h2"),
                                                (["a", "b", "b"], "b_h2")])
@@ -197,9 +196,22 @@ class TestJoin:
         with pytest.raises(ValueError, match=f"^column {column} would be written twice"):
             rolling.join_measures([track] * 3, names=names)
         joined = rolling.join_measures([track] * 3, names=["a", "b", "c"])
-        assert joined.columns == ["window_end", "h2", "b_h2", "c_h2"]
-        assert rolling.join_measures([track] * 2, names=["t", "t"]).columns == [
+        assert joined == [{"window_end": 9, "h2": 1.0, "b_h2": 1.0, "c_h2": 1.0}]
+        assert list(rolling.join_measures([track] * 2, names=["t", "t"])[0]) == [
             "window_end", "h2", "t_h2"]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_tracks_raise(self, count):
+        track = rolling.RollingTrack([
+            {"window_start": 0, "window_end": 9, "status": "ok", "payload": {"h2": 1.0}}
+        ])
+        with pytest.raises(ValueError, match="need at least 2 tracks"):
+            rolling.join_measures([track] * count)
+
+    def test_csv_columns_in_order_of_first_appearance(self):
+        # a track's rows need not share their keys: a cell a row lacks is empty
+        rows = [{"window_end": 9, "h2": 0.5}, {"window_end": 19, "dh": 0.25, "h2": 1.0}]
+        assert rolling.joined_to_csv(rows) == "window_end,h2,dh\n9,0.5,\n19,1,0.25\n"
 
 
 class TestCsv:

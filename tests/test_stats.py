@@ -10,15 +10,15 @@ class TestDescriptive:
     def test_alternating_two_point_sample(self):
         x = np.tile([-1.0, 1.0], 50)
         d = stats.descriptive(x)
-        assert d.mean == pytest.approx(0.0, abs=1e-15)
-        assert d.skewness == pytest.approx(0.0, abs=1e-12)
-        assert d.kurtosis == pytest.approx(1.0, rel=1e-12)
-        assert d.nobs == 100
+        assert d["mean"] == pytest.approx(0.0, abs=1e-15)
+        assert d["skewness"] == pytest.approx(0.0, abs=1e-12)
+        assert d["kurtosis"] == pytest.approx(1.0, rel=1e-12)
+        assert d["nobs"] == 100
 
     def test_gaussian_kurtosis(self):
         x = np.random.default_rng(11).standard_normal(100_000)
         d = stats.descriptive(x)
-        assert abs(d.kurtosis - 3.0) < 0.1
+        assert abs(d["kurtosis"] - 3.0) < 0.1
 
     def test_zero_variance(self):
         with pytest.raises(stats.DegenerateSampleError):
@@ -33,9 +33,9 @@ class TestDescriptive:
         x = rng.standard_normal(500)
         d1 = stats.descriptive(x)
         d2 = stats.descriptive(x[rng.permutation(500)])
-        assert d1.mean == pytest.approx(d2.mean, rel=1e-12)
-        assert d1.kurtosis == pytest.approx(d2.kurtosis, rel=1e-12)
-        assert d1.se_kurtosis == pytest.approx(d2.se_kurtosis, rel=1e-9)
+        assert d1["mean"] == pytest.approx(d2["mean"], rel=1e-12)
+        assert d1["kurtosis"] == pytest.approx(d2["kurtosis"], rel=1e-12)
+        assert d1["se_kurtosis"] == pytest.approx(d2["se_kurtosis"], rel=1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_input(self, bad):
@@ -58,7 +58,7 @@ class TestDescriptive:
         for seed in range(5):
             x = np.random.default_rng(seed).exponential(1.0, 300)
             d = stats.descriptive(x)
-            assert d.kurtosis >= 1.0 + d.skewness**2 - 1e-12
+            assert d["kurtosis"] >= 1.0 + d["skewness"]**2 - 1e-12
 
     def test_fast_jackknife_matches_loop(self):
         x = np.random.default_rng(5).standard_normal(60)
@@ -72,9 +72,9 @@ class TestDescriptive:
             y = v - v.mean()
             return (y**3).mean() / (y**2).mean() ** 1.5
 
-        assert d.se_kurtosis == pytest.approx(stats.jackknife_se(x, kurt), rel=1e-9)
-        assert d.se_skewness == pytest.approx(stats.jackknife_se(x, skew), rel=1e-9)
-        assert d.se_sd == pytest.approx(
+        assert d["se_kurtosis"] == pytest.approx(stats.jackknife_se(x, kurt), rel=1e-9)
+        assert d["se_skewness"] == pytest.approx(stats.jackknife_se(x, skew), rel=1e-9)
+        assert d["se_sd"] == pytest.approx(
             stats.jackknife_se(x, lambda v: v.std(ddof=1)), rel=1e-9
         )
 
@@ -87,7 +87,7 @@ class TestDescriptive:
             y = v - v.mean()
             return (y**4).mean() / (y**2).mean() ** 2
 
-        assert d.se_kurtosis == pytest.approx(stats.jackknife_se(x, kurt), rel=1e-5)
+        assert d["se_kurtosis"] == pytest.approx(stats.jackknife_se(x, kurt), rel=1e-5)
 
     @pytest.mark.parametrize("values", [
         np.r_[np.tile([1.0, -1.0], 50), 3e4],  # c2/t2 = 1.1e-7, below the floor
@@ -119,9 +119,17 @@ class TestDescriptive:
                     "kurtosis": (t4 / n) / (t2 / n) ** 2}
         expected.update({k: np.sqrt((n - 1) / n * ((r - r.mean()) ** 2).sum())
                          for k, r in replicates.items()})
-        got = stats.descriptive(x).as_dict()
+        got = stats.descriptive(x)
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, rel=1e-12), key
+
+    def test_a_dict_in_a_fixed_key_order(self):
+        # the order in which the stats JSON and the rolling track write them
+        d = stats.descriptive(np.random.default_rng(4).standard_normal(50))
+        assert list(d) == ["mean", "sd", "kurtosis", "skewness", "nobs",
+                           "se_mean", "se_sd", "se_kurtosis", "se_skewness"]
+        assert type(d["nobs"]) is int
+        assert all(type(v) is float for k, v in d.items() if k != "nobs")
 
 
 class TestJackknife:
@@ -190,6 +198,11 @@ class TestVolatilitySeries:
         r[123] = bad
         with pytest.raises(ValueError, match="non-finite .* index 123"):
             stats.volatility_series(r)
+
+    @pytest.mark.parametrize("mode", ["ABS", "mean", ""])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match=f"unknown r_bar_mode {mode!r}"):
+            stats.volatility_series(np.array([1.0, -1.0]), r_bar_mode=mode)
 
 
 def _gaussian_ticks(n_days, seed, per_min_sd=0.05):
@@ -267,8 +280,8 @@ class TestAggGaussScan:
         for row in scan.rows:
             r = ingest.log_returns(ingest.resample_last(ticks, row["delta_t"])).values
             d = stats.descriptive(r)
-            assert row == {"delta_t": row["delta_t"], "kurtosis": d.kurtosis,
-                           "se_kurtosis": d.se_kurtosis, "nobs": d.nobs}
+            assert row == {"delta_t": row["delta_t"], "kurtosis": d["kurtosis"],
+                           "se_kurtosis": d["se_kurtosis"], "nobs": d["nobs"]}
 
     @pytest.mark.parametrize("values", [
         np.random.default_rng(9).standard_t(3, 20_000),
@@ -278,7 +291,7 @@ class TestAggGaussScan:
     ], ids=["t3", "exponential", "above_floor", "four"])
     def test_kurtosis_path_matches_descriptive(self, values):
         d = stats.descriptive(values)
-        assert stats._kurtosis_with_se(values) == (d.kurtosis, d.se_kurtosis)
+        assert stats._kurtosis_with_se(values) == (d["kurtosis"], d["se_kurtosis"])
 
     @pytest.mark.parametrize("values,error,match", [
         (np.ones(10), stats.DegenerateSampleError, "zero variance"),

@@ -78,3 +78,9 @@ class TestCascadeAnalytic:
         h = synth.cascade_h_analytic(q, 0.75)
         assert h.shape == (3,)
         assert h[0] > h[1] > h[2]
+
+
+@pytest.mark.parametrize("a", [0.4, 1.0, 1.5, -0.75])
+def test_cascade_h_analytic_rejects_a_weight_outside_its_range(a):
+    with pytest.raises(ValueError, match=r"weight a must be in \[0.5, 1\)"):
+        synth.cascade_h_analytic(2.0, a)

@@ -491,3 +491,50 @@ def test_fit_json_schema():
         assert key in doc
     for key in ("mu", "c1", "omega", "alpha", "beta", "gamma", "dist"):
         assert key in doc["params"]
+
+
+# --- the one gate of filter_volatility, neg_log_likelihood and std_errors ----
+
+_GATE_PARAMS = dict(omega=0.2, alpha=0.1, beta=0.8, gamma=-0.05)
+_GATE_ENTRY_POINTS = {
+    "filter_volatility": lambda p, r, s2: tgarch.filter_volatility(p, r, sigma2_init=s2),
+    "neg_log_likelihood": lambda p, r, s2: tgarch.neg_log_likelihood(p, r, sigma2_init=s2),
+    "std_errors": lambda p, r, s2: tgarch.std_errors(r, p, sigma2_init=s2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GATE_ENTRY_POINTS))
+@pytest.mark.parametrize("changes, sigma2_init, match", [
+    ({"shape": 1.5}, None, "nu must exceed 2"),
+    ({"omega": -1.0}, None, "omega must be positive"),
+    ({"alpha": 0.3, "beta": 0.7, "gamma": 0.0}, None, "stationarity"),
+    ({}, -0.5, "sigma2_init must be positive and finite"),
+    ({}, 0.0, "sigma2_init must be positive and finite"),
+    ({}, math.inf, "sigma2_init must be positive and finite"),
+    ({}, math.nan, "sigma2_init must be positive and finite"),
+], ids=["nu-1.5", "omega-negative", "alpha-beta-1", "sigma2-init-negative",
+        "sigma2-init-zero", "sigma2-init-inf", "sigma2-init-nan"])
+def test_entry_points_reject_the_same_bad_input(entry, changes, sigma2_init, match):
+    params = tgarch.TgarchParams(**{**_GATE_PARAMS, "dist": "student-t", **changes})
+    r = np.random.default_rng(0).standard_normal(300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            _GATE_ENTRY_POINTS[entry](params, r, sigma2_init)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tgarch.TgarchParams(alpha=-0.1).validate(), "alpha and beta must be nonnegative"),
+    (lambda: tgarch.TgarchParams(beta=-0.1).validate(), "alpha and beta must be nonnegative"),
+    (lambda: tgarch.TgarchParams(dist="ged", shape=0.0).validate(), "kappa must be positive"),
+    (lambda: tgarch.TgarchParams(dist="ged", shape=-1.0).validate(), "kappa must be positive"),
+    (lambda: tgarch.TgarchParams(dist="cauchy"), "unknown distribution 'cauchy'"),
+    (lambda: tgarch.fit(np.random.default_rng(1).standard_normal(200), "cauchy"),
+     "unknown distribution 'cauchy'"),
+    (lambda: tgarch.simulate(tgarch.TgarchParams(omega=0.2, alpha=0.1, beta=0.8), 0, seed=1),
+     "n must be >= 1"),
+], ids=["alpha-negative", "beta-negative", "ged-kappa-0", "ged-kappa-negative",
+        "params-unknown-law", "fit-unknown-law", "simulate-n-0"])
+def test_typed_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

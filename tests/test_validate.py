@@ -36,7 +36,7 @@ def _std_errors(x, **kw):
 
 def _descriptive(x):
     d = stats.descriptive(x)
-    return _finite([v for k, v in d.as_dict().items() if k != "nobs"])
+    return _finite([v for k, v in d.items() if k != "nobs"])
 
 
 def _volatility(x):
