@@ -338,7 +338,7 @@ def _write_entry(entry, rows):
 def _parse_tick_lines(text) -> TickSeries:
     """`parse_ticks` one line at a time: the reference, and its error report."""
     ts, px, am = [], [], []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -495,9 +495,11 @@ def _read_return_lines(text) -> ReturnSeries:
         lines = lines[1:]
     for lineno, ln in lines:
         parts = ln.split(",")
+        if len(parts) < 2:
+            raise ValueError(f"line {lineno}: expected at least 2 fields, got {len(parts)}")
         try:
             t, v = int(parts[0]), float(parts[1])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if t not in _INT64_RANGE:
             raise ValueError(f"line {lineno}: timestamp {parts[0]} outside the int64 range")

@@ -63,6 +63,10 @@ class MfdfaConfig:
     fit_range: tuple = (20, 100)
     degree_q: float = 4.0
 
+    def __post_init__(self):
+        self.q_grid = np.asarray(self.q_grid, dtype=np.float64)
+        self.s_grid = np.asarray(self.s_grid, dtype=int)
+
     @property
     def min_length(self) -> int:
         """Shortest series with 2 segments at the largest scale."""
@@ -72,29 +76,24 @@ class MfdfaConfig:
         """ValueError unless analyze can run these settings (on a series of
         at least min_length values)."""
         self._validate_grids()
-        s = np.asarray(self.s_grid, dtype=int)
         lo, hi = self.fit_range
-        if lo < s.min() or hi > s.max():
-            raise ValueError("fit_range must lie within the scale grid span")
-        if np.count_nonzero((s >= lo) & (s <= hi)) < 3:
+        if np.count_nonzero((self.s_grid >= lo) & (self.s_grid <= hi)) < 3:
             raise ValueError("fit_range must hold at least 3 scales of the grid")
         if not self.degree_q > 0:
             raise ValueError("degree_q must be positive")
         for q in (2.0, self.degree_q):
-            _grid_index(np.asarray(self.q_grid, dtype=np.float64), q)
-        _check_uniform(np.asarray(self.q_grid, dtype=np.float64))
+            _grid_index(self.q_grid, q)
+        _check_uniform(self.q_grid)
 
     def _validate_grids(self):
         """ValueError unless fluctuation can run on these grids."""
-        q = np.asarray(self.q_grid, dtype=np.float64)
-        s = np.asarray(self.s_grid, dtype=int)
         if self.detrend_order < 0:
             raise ValueError("detrend_order must be >= 0")
-        if len(s) == 0 or np.any(s < self.detrend_order + 2):
+        if len(self.s_grid) == 0 or np.any(self.s_grid < self.detrend_order + 2):
             raise ValueError("every scale must be >= detrend_order + 2")
-        if np.any(np.diff(s) <= 0):
+        if np.any(np.diff(self.s_grid) <= 0):
             raise ValueError("scales must be strictly increasing")
-        if not np.allclose(np.sort(q), np.sort(-q), atol=1e-12):
+        if not np.allclose(np.sort(self.q_grid), np.sort(-self.q_grid), atol=1e-12):
             raise ValueError("q_grid must be symmetric about 0")
 
 
@@ -242,8 +241,7 @@ def _fluctuations(profiles, config: MfdfaConfig, moment_scales=None):
     their count are taken at every scale.  A row that keeps no segment at
     some scale gets F = NaN there; its caller fails it.
     """
-    s_grid = np.asarray(config.s_grid, dtype=int)
-    q_grid = np.asarray(config.q_grid, dtype=np.float64)
+    s_grid, q_grid = config.s_grid, config.q_grid
     taken = np.ones(len(s_grid), bool) if moment_scales is None else moment_scales
     zero_tol = np.max(np.abs(profiles), axis=1)[:, None] ** 2 * 1e-26
     values = np.empty((len(profiles), len(q_grid), np.count_nonzero(taken)))
@@ -286,8 +284,7 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
     """Fluctuation functions F_q(s) over the configured (q, s) grid."""
     config._validate_grids()
     y = finite_array(prof, "profile values", 2)
-    s_grid = np.asarray(config.s_grid, dtype=int)
-    q_grid = np.asarray(config.q_grid, dtype=np.float64)
+    s_grid = config.s_grid
     n = len(y)
     if n < config.min_length:
         raise ValueError(
@@ -301,8 +298,7 @@ def fluctuation(prof, config: MfdfaConfig) -> FluctuationMatrix:
     empty = np.flatnonzero(excluded[0] == 2 * (n // s_grid))
     if empty.size:
         raise ValueError(f"all segments have zero variance at s={int(s_grid[empty[0]])}")
-    return FluctuationMatrix(q_grid=q_grid, s_grid=s_grid, values=values[0],
-                             excluded=excluded[0])
+    return FluctuationMatrix(config.q_grid, s_grid, values[0], excluded[0])
 
 
 def generalized_hurst(fmat: FluctuationMatrix, fit_range=None) -> HurstCurve:
@@ -424,8 +420,7 @@ def analyze_windows(windows, config: MfdfaConfig | None = None) -> list:
     if not runs:  # analyze fails every row, each with its own message
         return [_summary(row, cfg) for row in windows]
 
-    q_grid = np.asarray(cfg.q_grid, dtype=np.float64)
-    s_grid = np.asarray(cfg.s_grid, dtype=int)
+    q_grid, s_grid = cfg.q_grid, cfg.s_grid
     i2, i_pos, i_neg = (_grid_index(q_grid, q) for q in (2.0, cfg.degree_q, -cfg.degree_q))
     read = np.unique([i2, i_pos - 1, i_pos, i_pos + 1, i_neg - 1, i_neg, i_neg + 1])
     read = read[(read >= 0) & (read < len(q_grid))]

@@ -155,8 +155,9 @@ def read_track_csv(text: str) -> RollingTrack:
     Raises ValueError naming the 1-based line of a missing header, a header
     not of the form ``window_start,window_end,...,status``, a row whose cell
     count differs from the header's, a status other than ``ok`` or
-    ``failed``, a window bound that is not an integer, or a payload cell of
-    an ``ok`` row that is neither empty nor a number.
+    ``failed``, a window bound that is not an integer, a payload cell of an
+    ``ok`` row that is neither empty nor a number, or a ``window_end`` that
+    an earlier row has (naming that row's line too).
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -166,7 +167,7 @@ def read_track_csv(text: str) -> RollingTrack:
     if len(header) < 3 or header[:2] != ["window_start", "window_end"] or header[-1] != "status":
         raise ValueError(f"line {lineno}: the header is not window_start,window_end,...,status")
     keys = header[2:-1]
-    rows = []
+    rows, line_of_end = [], {}
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(header):
@@ -182,6 +183,8 @@ def read_track_csv(text: str) -> RollingTrack:
                 row["error"] = ""
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if (first := line_of_end.setdefault(row["window_end"], lineno)) != lineno:
+            raise ValueError(f"line {lineno}: window_end {row['window_end']} repeats line {first}")
         rows.append(row)
     return RollingTrack(rows=rows)
 

@@ -394,8 +394,9 @@ class TestErrorHandling:
         ("window_start,window_end,mean,status\n1,2,0.5,done\n", 2),
         ("window_start,window_end,mean,status\n1,2.5,0.5,ok\n", 2),
         ("window_start,window_end,mean,status\n\n1,2,0.5,ok\n3,4,abc,ok\n", 4),
+        ("window_start,window_end,mean,status\n0,2,0.5,ok\n1,2,0.7,ok\n", 3),
     ], ids=["empty", "blank", "header_order", "no_status", "status_only", "short_row",
-            "long_row", "status", "window_bound", "payload"])
+            "long_row", "status", "window_bound", "payload", "repeated_window_end"])
     def test_malformed_track_exit_one(self, tmp_path, capsys, text, line):
         bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
         bad.write_text(text)

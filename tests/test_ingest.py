@@ -237,7 +237,7 @@ class TestSerialization:
             ingest.read_returns_csv("timestamp,value\n99999999999999999999,1.0\n")
 
     def test_read_returns_malformed_row_line(self):
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="^line 3: expected at least 2 fields, got 1$"):
             ingest.read_returns_csv("timestamp,value,flag\n86400,1.5,ok\n172800\n")
 
     def test_json_metadata(self):
@@ -376,6 +376,15 @@ class TestPathMatchesLineLoop:
             for chunk_chars in (16, ingest._CHUNK_CHARS):
                 fast, reference = self.outcomes(parse, loop, file, text, chunk_chars)
                 assert fast == reference
+
+    @pytest.mark.parametrize("text", ["1,2.0,1.0\r2,3.0,1.0\n", "1,2.0,1.0\x0c2,3.0,1.0\n",
+                                      "1,2.0,1.0\u20282,3.0,1.0\n"],
+                             ids=["cr", "form_feed", "u2028"])
+    def test_ticks_text_breaks_lines_as_a_file_read(self, file, text):
+        # a text-mode read makes a lone CR LF; str.splitlines breaks all three
+        file.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(ingest.parse_ticks, text) == _outcome(ingest.parse_ticks, file)
+        assert len(ingest.parse_ticks(text).timestamps) == 2
 
     @pytest.mark.parametrize("read", ["text", "small_file", "large_file"])
     @pytest.mark.parametrize("parse, loop, line, odd", [

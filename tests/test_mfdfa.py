@@ -230,6 +230,10 @@ class TestCascadeOracle:
         assert np.max(self.result["spectrum"].f) <= 1.0 + 0.02
 
 
+# on the default scale grid, 16 .. 128
+FIT_RANGES_PAST_THE_GRID = [(10, 100), (1, 5000), (16, 200)]
+
+
 class TestConfigValidation:
     def test_scale_vs_order(self):
         with pytest.raises(ValueError):
@@ -241,8 +245,10 @@ class TestConfigValidation:
             mfdfa.MfdfaConfig(q_grid=np.array([-1.0, 0.0, 2.0])).validate()
 
     def test_fit_range_outside_grid(self):
-        with pytest.raises(ValueError):
-            mfdfa.MfdfaConfig(fit_range=(1, 5000)).validate()
+        # analyze fits the grid scales inside the range, so a range reaching
+        # past the grid is valid while it holds 3 of them
+        for fit_range in FIT_RANGES_PAST_THE_GRID:
+            mfdfa.MfdfaConfig(fit_range=fit_range).validate()
 
     def test_negative_detrend_order(self):
         with pytest.raises(ValueError, match="detrend_order"):
@@ -592,15 +598,17 @@ def test_windows_analyze_rejects_as_analyze_does():
         mfdfa.analyze_windows(bad[0], mfdfa.MfdfaConfig())
 
 
-def test_windows_run_settings_only_analyze_accepts():
-    # validate rejects a fit range reaching below the grid; analyze fits the
-    # scales inside it, and so every window goes through analyze
+def test_windows_run_settings_only_analyze_accepts(monkeypatch):
+    # a fit range reaching past the scale grid: the batch takes every healthy
+    # window itself, with analyze's outcome
     windows = windows_of(benchmark_like_series(3), 548, 5)
-    cfg = mfdfa.MfdfaConfig(fit_range=(10, 100))
-    with pytest.raises(ValueError, match="fit_range must lie within"):
-        cfg.validate()
-    want = [{k: mfdfa.analyze(w, cfg)[k] for k in ("h2", "dh", "dalpha")} for w in windows]
-    assert mfdfa.analyze_windows(windows, cfg) == want
+    analyze, calls = mfdfa.analyze, []
+    monkeypatch.setattr(mfdfa, "analyze", lambda *a: calls.append(a) or analyze(*a))
+    for fit_range in FIT_RANGES_PAST_THE_GRID:
+        cfg = mfdfa.MfdfaConfig(fit_range=fit_range)
+        want = [{k: analyze(w, cfg)[k] for k in ("h2", "dh", "dalpha")} for w in windows]
+        assert mfdfa.analyze_windows(windows, cfg) == want
+    assert calls == []
 
 
 def _imports(module_name, seen):

@@ -252,3 +252,9 @@ class TestCsv:
             {"window_start": 10, "window_end": 19, "status": "ok", "payload": {"dh": 1 / 3}},
         ])
         assert rolling.read_track_csv(rolling.track_to_csv(track)) == track
+
+    @pytest.mark.parametrize("second", ["2,10,0.7,ok", "2, 10,,failed"])
+    def test_repeated_window_end_names_both_lines(self, second):
+        text = f"window_start,window_end,h,status\n1,10,0.5,ok\n\n{second}\n"
+        with pytest.raises(ValueError, match="^line 4: window_end 10 repeats line 2$"):
+            rolling.read_track_csv(text)
