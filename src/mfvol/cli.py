@@ -7,14 +7,16 @@ setting, the tool version, and seeds.  The manifest's ``config`` block is
 itself a --config file: re-running with it and the same inputs reproduces
 the outputs byte-identically.
 
-Each setting is declared once, in SETTINGS: its flag is --<name> with "-"
-for "_", its --config key is <name>, and its value resolves as
-command-line flag > --config JSON file > default.  A config key that no
-subcommand knows is a usage error; a key of another subcommand is ignored,
-so one config file can serve a whole pipeline.  Relative input paths are
+Each setting is declared once, with its default, in SETTINGS: its flag is
+--<name> with "-" for "_", its --config key is <name>, and its value
+resolves as command-line flag > --config JSON file > default.  A config key
+that no subcommand knows is a usage error; a key of another subcommand is
+ignored, so one config file can serve a whole pipeline.  Settings are
+checked before any input is read; rolling checks its window and step once,
+against the shortest window its estimator fits.  Relative input paths are
 resolved against $MFVOL_DATA_DIR when set, and the manifest names the file
-read.  Numbers in CSV tables carry 17
-significant digits; JSON files use Python's shortest round-trip repr.
+read.  Numbers in CSV tables carry 17 significant digits; JSON files use
+Python's shortest round-trip repr.
 """
 
 import argparse
@@ -36,9 +38,10 @@ class UsageError(ValueError):
 
 
 def _int_list(text):
-    """Comma-separated integers from a flag, or a list of them from a config file."""
+    """Comma-separated integers from a flag, or a list of them from a config
+    file, each converted from its text as `Setting.from_config` converts one."""
     items = text.split(",") if isinstance(text, str) else text
-    return [int(x) for x in items]
+    return [int(str(x)) for x in items]
 
 
 def finite_float(text):
@@ -109,12 +112,10 @@ SETTINGS = (
     Setting("degree_q", finite_float, _MFDFA.degree_q, _MFDFA_USERS),
     Setting("estimator", str, None, ("rolling",), choices=("tgarch", "mfdfa", "stats"),
             required=True, help=_REQUIRED),
-    Setting("window", int, rolling.RollingConfig.window, ("rolling",)),
+    Setting("window", int, 548, ("rolling",)),
     # the one default that depends on another setting
-    Setting("step", int,
-            lambda s: 1 if s["estimator"] == "mfdfa" else rolling.RollingConfig.step,
-            ("rolling",), help="default: 1 for the mfdfa estimator, "
-                               f"{rolling.RollingConfig.step} otherwise"),
+    Setting("step", int, lambda s: 1 if s["estimator"] == "mfdfa" else 30, ("rolling",),
+            help="default: 1 for the mfdfa estimator, 30 otherwise"),
     Setting("dist", str, tgarch.TgarchParams.dist, ("tgarch", "rolling", "simulate"),
             choices=tuple(tgarch.DEFAULT_SHAPE)),
     Setting("model", str, None, _SIM, choices=("gaussian", "cascade", "tgarch"),
@@ -308,44 +309,35 @@ def cmd_mfdfa(s, inputs, output):
 
 
 def _rolling_estimator(s):
-    name = s["estimator"]
-    if name == "tgarch":
-        if s["window"] < tgarch.MIN_OBS:
-            raise UsageError(f"--window {s['window']} is too short for TGARCH: "
-                             f"a fit needs {tgarch.MIN_OBS} returns")
-
-        def run(values):
-            fit = tgarch.fit(values, dist=s["dist"])
-            # a track holds numbers only; the normal law has shape None
-            payload = {k: v for k, v in fit.params.as_dict().items()
-                       if k != "dist" and v is not None}
-            payload["loglik"] = fit.loglik
-            payload["converged"] = float(fit.converged)
-            if fit.std_errors:
-                payload.update({f"se_{k}": v for k, v in fit.std_errors.items()})
-            if not fit.converged:
-                raise RuntimeError("fit did not converge")
-            return payload
-        return rolling.each_window(run)
-    if name == "mfdfa":
+    """The estimator that --estimator names, and the shortest window it fits."""
+    if s["estimator"] == "mfdfa":
         cfg = _mfdfa_config(s)
-        if s["window"] < cfg.min_length:
-            raise UsageError(f"--window {s['window']} is too short for MF-DFA: 2 segments "
-                             f"at s={cfg.min_length // 2} need {cfg.min_length} returns")
-        return lambda windows: mfdfa.analyze_windows(windows, cfg)
-    if name == "stats":
-        if s["window"] < stats.DESCRIPTIVE_MIN_OBS:
-            raise UsageError(f"--window {s['window']} is too short for the statistics: "
-                             f"they need {stats.DESCRIPTIVE_MIN_OBS} returns")
-        return rolling.each_window(stats.descriptive)
-    raise ValueError(f"unknown estimator {name!r}")
+        return (lambda windows: mfdfa.analyze_windows(windows, cfg)), cfg.min_length
+    if s["estimator"] == "stats":
+        return rolling.each_window(stats.descriptive), stats.DESCRIPTIVE_MIN_OBS
+
+    def run(values):  # tgarch, the one choice left
+        fit = tgarch.fit(values, dist=s["dist"])
+        # a track holds numbers only; the normal law has shape None
+        payload = {k: v for k, v in fit.params.as_dict().items()
+                   if k != "dist" and v is not None}
+        payload["loglik"] = fit.loglik
+        payload["converged"] = float(fit.converged)
+        if fit.std_errors:
+            payload.update({f"se_{k}": v for k, v in fit.std_errors.items()})
+        if not fit.converged:
+            raise RuntimeError("fit did not converge")
+        return payload
+    return rolling.each_window(run), tgarch.MIN_OBS
 
 
 def cmd_rolling(s, inputs, output):
-    config = _checked(lambda: rolling.RollingConfig(window=s["window"], step=s["step"]))
-    estimator = _rolling_estimator(s)
+    estimator, shortest = _rolling_estimator(s)
+    if s["window"] < shortest or s["step"] < 1:
+        raise UsageError(f"the {s['estimator']} estimator needs a --window of at least "
+                         f"{shortest} returns and a --step of at least 1")
     returns = ingest.read_returns_csv(inputs[0])
-    track = rolling.rolling_apply(returns, config, estimator)
+    track = rolling.rolling_apply(returns, s["window"], s["step"], estimator)
     _write(output, rolling.track_to_csv(track))
     if s["estimator"] == "tgarch":
         return {"multistart": tgarch.MULTISTART_SEED}

@@ -354,9 +354,9 @@ def _parse_tick_lines(text) -> TickSeries:
         if t not in _INT64_RANGE:
             raise TickParseError(lineno, f"timestamp {parts[0]} outside the int64 range")
         if not np.isfinite(p) or p <= 0.0:
-            raise ValueError(f"line {lineno}: nonpositive or non-finite price {parts[1]}")
+            raise TickParseError(lineno, f"nonpositive or non-finite price {parts[1]}")
         if a < 0.0:
-            raise ValueError(f"line {lineno}: negative amount {parts[2]}")
+            raise TickParseError(lineno, f"negative amount {parts[2]}")
         ts.append(t)
         px.append(p)
         am.append(a)
@@ -472,15 +472,17 @@ def returns_to_json(returns: ReturnSeries) -> str:
 def read_returns_csv(source) -> ReturnSeries:
     """Read a returns CSV produced by `returns_to_csv` (flag column optional).
 
-    A malformed row or a non-finite value raises ValueError naming its
-    1-based line number.  As in `parse_ticks`, ``source`` may be a path, text
-    (a ``str``, never a file name), bytes or a file object, the input is
-    read as one array, cached for a large path, and only input that fails
-    that read or its check is read line by line.
+    A malformed row, a non-finite value or a timestamp that does not exceed
+    the one before raises ValueError naming its 1-based line number.  As in
+    `parse_ticks`, ``source`` may be a path, text (a ``str``, never a file
+    name), bytes or a file object, the input is read as one array, cached
+    for a large path, and only input that fails that read or its check is
+    read line by line.
     """
     source, state = _text_or_path(source)
     # a header anywhere but on line 1 fails the array read and goes to the loop
-    columns = _load_rows(source, state, _RETURN_ROW, lambda t, v: np.isfinite(v).all(),
+    columns = _load_rows(source, state, _RETURN_ROW,
+                         lambda t, v: np.isfinite(v).all() and (t[1:] > t[:-1]).all(),
                          header="timestamp", usecols=(0, 1))
     if columns is not None:
         return _return_series(*columns)
@@ -505,6 +507,9 @@ def _read_return_lines(text) -> ReturnSeries:
             raise ValueError(f"line {lineno}: timestamp {parts[0]} outside the int64 range")
         if not math.isfinite(v):
             raise ValueError(f"line {lineno}: non-finite return {parts[1]}")
+        if times and t <= times[-1]:
+            raise ValueError(f"line {lineno}: timestamp {t} does not exceed "
+                             f"the one before, {times[-1]}")
         times.append(t)
         values.append(v)
     return _return_series(times, values)

@@ -82,9 +82,11 @@ def _log_density_constant(dist, shape):
         return log_c, 1.0 / (nu - 2.0)
     if dist == "ged":
         kappa = shape
-        if not kappa > 0.0:
+        if not 0.0 < kappa < math.inf:
             return None
         lam2 = _ged_lambda2(kappa)
+        if not 0.0 < lam2 < math.inf:  # no unit-variance scale in floating point
+            return None
         log_c = (
             math.log(kappa)
             - 0.5 * math.log(lam2)

@@ -3,9 +3,11 @@ assemble time-indexed tracks of the results, and join tracks on their
 window ends into plain rows.
 
 Windows are index-based on the regular (gap-filled) return grid: window k
-covers indices [k*step, k*step + window).  The estimator gets all windows at
-once, as one stack; a window it fails on becomes a flagged row rather than a
-silent gap.
+covers indices [k*step, k*step + window).  A window and a step are two plain
+integers, and `n_windows` holds their one rule: both at least 1, and a
+series at least one window long.  The estimator gets all windows at once, as
+one stack; a window it fails on becomes a flagged row rather than a silent
+gap.
 """
 
 from dataclasses import dataclass, field
@@ -16,22 +18,15 @@ from . import ingest
 
 
 @dataclass
-class RollingConfig:
-    window: int = 548
-    step: int = 30
-
-    def validate(self):
-        if self.window < 1 or self.step < 1:
-            raise ValueError("window and step must be positive")
-
-
-@dataclass
 class RollingTrack:
     rows: list = field(default_factory=list)
     # row: {window_start, window_end, status: ok|failed, payload | error}
 
 
 def n_windows(n_obs: int, window: int, step: int) -> int:
+    """The window count, or ValueError unless window, step >= 1 and n_obs >= window."""
+    if window < 1 or step < 1:
+        raise ValueError("window and step must be positive")
     if n_obs < window:
         raise ValueError(f"series of length {n_obs} shorter than window {window}")
     return (n_obs - window) // step + 1
@@ -51,8 +46,9 @@ def each_window(fn):
     return run
 
 
-def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
-    """Apply estimator to every window, in window order.
+def rolling_apply(series, window: int, step: int, estimator) -> RollingTrack:
+    """Apply estimator to every window of ``window`` values, ``step`` apart,
+    in window order.
 
     ``series`` is a ReturnSeries (window labels are timestamps) or a plain
     sequence (labels are indices).  ``estimator`` maps the (count, window)
@@ -66,17 +62,16 @@ def rolling_apply(series, config: RollingConfig, estimator) -> RollingTrack:
     else:
         values = np.asarray(series, dtype=np.float64)
         times = np.arange(len(values), dtype=np.int64)
-    config.validate()
-    count = n_windows(len(values), config.window, config.step)
-    windows = np.lib.stride_tricks.sliding_window_view(values, config.window)[::config.step]
+    count = n_windows(len(values), window, step)
+    windows = np.lib.stride_tricks.sliding_window_view(values, window)[::step]
     outcomes = estimator(windows)
     if len(outcomes) != count:
         raise ValueError(f"estimator gave {len(outcomes)} outcomes for {count} windows")
 
     rows = []
     for k, outcome in enumerate(outcomes):
-        lo = k * config.step
-        row = {"window_start": int(times[lo]), "window_end": int(times[lo + config.window - 1])}
+        lo = k * step
+        row = {"window_start": int(times[lo]), "window_end": int(times[lo + window - 1])}
         if isinstance(outcome, Exception):
             row["status"] = "failed"
             row["error"] = f"{type(outcome).__name__}: {outcome}"
@@ -153,11 +148,11 @@ def read_track_csv(text: str) -> RollingTrack:
     """Track from track_to_csv text; a failed row's error message is not kept.
 
     Raises ValueError naming the 1-based line of a missing header, a header
-    not of the form ``window_start,window_end,...,status``, a row whose cell
-    count differs from the header's, a status other than ``ok`` or
-    ``failed``, a window bound that is not an integer, a payload cell of an
-    ``ok`` row that is neither empty nor a number, or a ``window_end`` that
-    an earlier row has (naming that row's line too).
+    not of the form ``window_start,window_end,...,status`` or that names a
+    column twice, a row whose cell count differs from the header's, a status
+    other than ``ok`` or ``failed``, a window bound that is not an integer, a
+    payload cell of an ``ok`` row that is neither empty nor a number, or a
+    ``window_end`` that an earlier row has (naming that row's line too).
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -166,6 +161,9 @@ def read_track_csv(text: str) -> RollingTrack:
     header = first.split(",")
     if len(header) < 3 or header[:2] != ["window_start", "window_end"] or header[-1] != "status":
         raise ValueError(f"line {lineno}: the header is not window_start,window_end,...,status")
+    repeated = [key for key in header if header.count(key) > 1]
+    if repeated:
+        raise ValueError(f"line {lineno}: the header names column {repeated[0]} twice")
     keys = header[2:-1]
     rows, line_of_end = [], {}
     for lineno, ln in lines[1:]:

@@ -222,12 +222,12 @@ def test_criterion_08_rolling_arithmetic(report):
     rng = np.random.default_rng(8)
     times = np.arange(1, 3189, dtype=np.int64) * 86_400
     series = ingest.ReturnSeries(1440, times, rng.standard_normal(3188))
-    cfg = rolling.RollingConfig(window=548, step=30)
+    window, step = 548, 30
 
     def estimator(values):
         return {"mean": float(np.mean(values)), "sd": float(np.std(values))}
 
-    rows = len(rolling.rolling_apply(series, cfg, rolling.each_window(estimator)).rows)
+    rows = len(rolling.rolling_apply(series, window, step, rolling.each_window(estimator)).rows)
     ok = count == 89 and rows == 89
     report(8, ok, f"window count {count} (==89), track rows {rows} (==89)")
 

@@ -377,11 +377,12 @@ class TestErrorHandling:
 
     def test_bad_data_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("timestamp,price,amount\n100,-5,1\n")
+        bad.write_text("99,5,1\n100,-5,1\n")
         assert run(["ingest", "--input", str(bad),
                     "-o", str(tmp_path / "out.csv")]) == 1
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "TickParseError"
+        assert report["message"] == "line 2: nonpositive or non-finite price -5"
 
     @pytest.mark.parametrize("text, line", [
         ("", 1),
@@ -395,8 +396,10 @@ class TestErrorHandling:
         ("window_start,window_end,mean,status\n1,2.5,0.5,ok\n", 2),
         ("window_start,window_end,mean,status\n\n1,2,0.5,ok\n3,4,abc,ok\n", 4),
         ("window_start,window_end,mean,status\n0,2,0.5,ok\n1,2,0.7,ok\n", 3),
+        ("window_start,window_end,h2,h2,status\n1,10,0.5,0.7,ok\n", 1),
     ], ids=["empty", "blank", "header_order", "no_status", "status_only", "short_row",
-            "long_row", "status", "window_bound", "payload", "repeated_window_end"])
+            "long_row", "status", "window_bound", "payload", "repeated_window_end",
+            "repeated_column"])
     def test_malformed_track_exit_one(self, tmp_path, capsys, text, line):
         bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
         bad.write_text(text)
@@ -495,6 +498,9 @@ class TestErrorHandling:
         ["stats", "--config", '{"s0": NaN}'],
         ["agg-gauss", "--delta-ts", "0,60"],
         ["agg-gauss", "--config", '{"delta_ts":[]}'],
+        ["agg-gauss", "--config", '{"delta_ts": [60.7, 1440]}'],
+        ["agg-gauss", "--config", '{"delta_ts": [true, 1440]}'],
+        ["agg-gauss", "--config", '{"delta_ts": 60.7}'],
         ["agg-gauss", "--delta-ts", "60,1440", "--period-min", "360", "--period-max", "60"],
         ["agg-gauss", "--delta-ts", "5,5,60"],
         ["agg-gauss", "--delta-ts", "5,60,1440", "--min-nobs", "2"],
@@ -515,6 +521,25 @@ class TestErrorHandling:
                 run([*argv, "--input", str(path), "-o", str(out)])
             assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["reversed", "repeated"])
+    def test_returns_out_of_time_order_exit_one(self, tmp_path, capsys, order):
+        series = tmp_path / "r.csv"
+        run(["simulate", "--model", "gaussian", "--n", "30", "--seed", "4",
+             "-o", str(series)])
+        header, *rows = series.read_text().splitlines(keepends=True)
+        rows = rows[::-1] if order == "reversed" else [*rows[:10], rows[9], *rows[10:]]
+        series.write_text("".join([header, *rows]))
+        capsys.readouterr()
+        track = tmp_path / "t.csv"
+        assert run(["rolling", "--input", str(series), "--estimator", "stats",
+                    "--window", "5", "--step", "5", "-o", str(track)]) == 1
+        report = json.loads(capsys.readouterr().err)  # one JSON document
+        assert report["error"] == "ValueError"
+        line = 3 if order == "reversed" else 12
+        assert report["message"].startswith(f"line {line}: timestamp ")
+        assert "does not exceed the one before" in report["message"]
+        assert not track.exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "tgarch", "--alpha", "0.5", "--beta", "0.6"],

@@ -49,6 +49,15 @@ class TestParseTicks:
         with pytest.raises(ValueError, match="^line 2: negative amount -1.0$"):
             ingest.parse_ticks("1,2.0,1.0\n2,3.0,-1.0\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("2,-5.0,1.0", "nonpositive or non-finite price -5.0"),
+        ("2,3.0,-1.0", "negative amount -1.0"),
+    ], ids=["price", "amount"])
+    def test_every_bad_line_is_a_tick_parse_error(self, line, message):
+        with pytest.raises(ingest.TickParseError, match=f"^line 2: {message}$") as exc:
+            ingest.parse_ticks(f"1,2.0,1.0\n{line}\n")
+        assert exc.value.line_number == 2
+
     def test_out_of_order_input_is_sorted(self):
         ticks = ingest.parse_ticks("20,2.0,1.0\n10,1.0,1.0\n")
         assert list(ticks.timestamps) == [10, 20]
@@ -239,6 +248,23 @@ class TestSerialization:
     def test_read_returns_malformed_row_line(self):
         with pytest.raises(ValueError, match="^line 3: expected at least 2 fields, got 1$"):
             ingest.read_returns_csv("timestamp,value,flag\n86400,1.5,ok\n172800\n")
+
+    @pytest.mark.parametrize("back", [0, 60], ids=["repeated", "decreasing"])
+    @pytest.mark.parametrize("as_path", [False, True], ids=["text", "path"])
+    def test_read_returns_rejects_timestamps_out_of_time_order(self, tmp_path, back,
+                                                               as_path):
+        n = 5_000  # a path of 64 KiB or more is read in place
+        last = 60 * n
+        text = ("timestamp,value,flag\n" + "".join(f"{60 * i},0.5,ok\n" for i in range(1, n + 1))
+                + f"{last - back},0.5,ok\n")
+        source = tmp_path / "r.csv" if as_path else text
+        if as_path:
+            source.write_text(text)
+            assert source.stat().st_size >= ingest._TEXT_READ_BYTES
+        message = f"^line {n + 2}: timestamp {last - back} does not exceed the one before, {last}$"
+        for _ in range(2):  # nothing is cached for the second read to find
+            with pytest.raises(ValueError, match=message):
+                ingest.read_returns_csv(source)
 
     def test_json_metadata(self):
         import json
@@ -927,7 +953,7 @@ class TestTickCache:
         path = tmp_path / "data.csv"
         self.write_values(path, ["10.0", "11.0"])
         with open(path, "a") as fh:  # a whitespace-only line, or a number np.loadtxt refuses
-            fh.write(f"{odd}\n" if odd.isspace() else f"{odd}0,12.0,{self.kind.third}\n")
+            fh.write(f"{odd}\n" if odd.isspace() else f"{odd}000,12.0,{self.kind.third}\n")
         want = self.reference(path)
         reads.clear()
         for _ in range(2):
@@ -976,6 +1002,23 @@ class TestReturnsCache(TestTickCache):
     """`read_returns_csv` behind the same cache."""
 
     kind = _RETURNS_CACHE
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, reads, shuffle):
+        if not shuffle:
+            super().test_hit_is_the_parse_bit_for_bit(tmp_path, entries, reads, shuffle)
+            return
+        # returns out of time order are no series: each read raises, and nothing is cached
+        path = tmp_path / "data.csv"
+        self.write(path, 2_000, seed=7)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        np.random.default_rng(1).shuffle(rows)
+        path.write_text("".join([header, *rows]))
+        reads.clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^line \d+: timestamp \d+ does not exceed"):
+                self.parse(path)
+        assert reads == [path, "loop"] * 2 and entries() == []
 
     def test_entries_of_the_same_bytes_stay_apart(self, tmp_path, entries, reads, keys,
                                                   monkeypatch):

@@ -93,6 +93,17 @@ def test_ged_power_overflow_scores_inf_without_warning():
         assert kernels.tgarch_nll(r, p, 0.01) == math.inf
 
 
+@pytest.mark.parametrize("kappa", [1e-3, 0.01, math.inf])
+def test_ged_shape_without_a_scale_is_inf_and_nan(returns, kappa):
+    # lambda^2 underflows to 0 for a small kappa; 1/kappa is 0 at inf
+    p = TgarchParams(omega=0.2, alpha=0.1, beta=0.8, dist="ged", shape=kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.tgarch_nll(returns, p, 1.0) == math.inf
+        score = kernels.tgarch_score(returns, p, 1.0)
+    assert score.shape == (7,) and np.all(np.isnan(score))
+
+
 # Points in scale-free units: mu in units of the returns' scale, omega in its
 # square, the rest as is.
 SCORE_POINTS = {

@@ -23,21 +23,21 @@ class TestWindowArithmetic:
         series = make_returns(548)
         for step in (1, 30, 548):
             track = rolling.rolling_apply(
-                series, rolling.RollingConfig(window=548, step=step), mean_estimator
+                series, 548, step, mean_estimator
             )
             assert len(track.rows) == 1
 
     def test_too_short(self):
         with pytest.raises(ValueError):
             rolling.rolling_apply(
-                make_returns(547), rolling.RollingConfig(window=548, step=30),
+                make_returns(547), 548, 30,
                 mean_estimator,
             )
 
     def test_window_coverage(self):
         series = make_returns(100)
         track = rolling.rolling_apply(
-            series, rolling.RollingConfig(window=20, step=7), mean_estimator
+            series, 20, 7, mean_estimator
         )
         assert len(track.rows) == (100 - 20) // 7 + 1
         starts = [r["window_start"] for r in track.rows]
@@ -56,7 +56,7 @@ class TestEstimatorHandling:
 
         series = make_returns(60, seed=1)
         track = rolling.rolling_apply(
-            series, rolling.RollingConfig(window=10, step=10), flaky
+            series, 10, 10, flaky
         )
         statuses = {r["status"] for r in track.rows}
         assert "failed" in statuses and "ok" in statuses
@@ -66,14 +66,14 @@ class TestEstimatorHandling:
 
     def test_rerun_identical(self):
         series = make_returns(200, seed=2)
-        cfg = rolling.RollingConfig(window=50, step=10)
-        t1 = rolling.rolling_apply(series, cfg, mean_estimator)
-        t2 = rolling.rolling_apply(series, cfg, mean_estimator)
+        window, step = 50, 10
+        t1 = rolling.rolling_apply(series, window, step, mean_estimator)
+        t2 = rolling.rolling_apply(series, window, step, mean_estimator)
         assert t1.rows == t2.rows
 
     def test_plain_sequence_uses_indices(self):
         track = rolling.rolling_apply(
-            np.zeros(30), rolling.RollingConfig(window=10, step=10), mean_estimator
+            np.zeros(30), 10, 10, mean_estimator
         )
         assert track.rows[0]["window_start"] == 0
         assert track.rows[0]["window_end"] == 9
@@ -88,7 +88,7 @@ class TestWindowStack:
             seen.append(windows)
             return [{"first": float(w[0])} for w in windows]
 
-        track = rolling.rolling_apply(series, rolling.RollingConfig(window=20, step=7),
+        track = rolling.rolling_apply(series, 20, 7,
                                       estimator)
         (windows,) = seen
         assert windows.shape == ((100 - 20) // 7 + 1, 20)
@@ -99,16 +99,15 @@ class TestWindowStack:
 
     def test_outcome_count_must_match(self):
         with pytest.raises(ValueError, match="2 outcomes for 9 windows"):
-            rolling.rolling_apply(make_returns(100), rolling.RollingConfig(window=20, step=10),
+            rolling.rolling_apply(make_returns(100), 20, 10,
                                   lambda windows: [{}, {}])
 
     @pytest.mark.parametrize("window, step", [(0, 1), (-3, 1), (10, 0)])
     def test_non_positive_window_or_step(self, window, step):
         with pytest.raises(ValueError, match="positive"):
-            rolling.RollingConfig(window=window, step=step).validate()
+            rolling.n_windows(50, window, step)
         with pytest.raises(ValueError, match="positive"):
-            rolling.rolling_apply(make_returns(50), rolling.RollingConfig(window, step),
-                                  mean_estimator)
+            rolling.rolling_apply(make_returns(50), window, step, mean_estimator)
 
     def test_batched_mfdfa_rows_match_per_window_rows(self):
         """A window with a NaN and a window of constant returns become failure
@@ -120,15 +119,16 @@ class TestWindowStack:
         values[0] = np.nan
         values[300:600] = 0.5
         series = ingest.ReturnSeries(1440, times, values)
-        cfg = rolling.RollingConfig(window=280, step=9)
+        window, step = 280, 9
         mf = mfdfa.MfdfaConfig(s_grid=mfdfa.scale_grid(16, 128), fit_range=(20, 100))
 
         def one(w):
             result = mfdfa.analyze(w, mf)
             return {k: result[k] for k in ("h2", "dh", "dalpha")}
 
-        batched = rolling.rolling_apply(series, cfg, lambda w: mfdfa.analyze_windows(w, mf))
-        single = rolling.rolling_apply(series, cfg, rolling.each_window(one))
+        batched = rolling.rolling_apply(series, window, step,
+                                        lambda w: mfdfa.analyze_windows(w, mf))
+        single = rolling.rolling_apply(series, window, step, rolling.each_window(one))
         failed = [r["error"] for r in batched.rows if r["status"] == "failed"]
         assert failed[0].startswith("ValueError: returns contain 1 non-finite value(s)")
         assert "ValueError: all segments have zero variance at s=16" in failed
@@ -144,9 +144,9 @@ class TestWindowStack:
 class TestJoin:
     def test_full_overlap(self):
         series = make_returns(3188, seed=4)
-        cfg = rolling.RollingConfig(window=548, step=30)
-        t1 = rolling.rolling_apply(series, cfg, mean_estimator)
-        t2 = rolling.rolling_apply(series, cfg,
+        window, step = 548, 30
+        t1 = rolling.rolling_apply(series, window, step, mean_estimator)
+        t2 = rolling.rolling_apply(series, window, step,
                                    rolling.each_window(lambda v: {"sd": float(np.std(v))}))
         joined = rolling.join_measures([t1, t2])
         assert len(joined) == 89
@@ -155,10 +155,10 @@ class TestJoin:
     def test_grid_containment(self):
         series = make_returns(800, seed=5)
         coarse = rolling.rolling_apply(
-            series, rolling.RollingConfig(window=548, step=30), mean_estimator
+            series, 548, 30, mean_estimator
         )
         fine = rolling.rolling_apply(
-            series, rolling.RollingConfig(window=548, step=1),
+            series, 548, 1,
             rolling.each_window(lambda v: {"sd": float(np.std(v))}),
         )
         joined = rolling.join_measures([coarse, fine])
@@ -218,7 +218,7 @@ class TestCsv:
     def test_roundtrip(self):
         series = make_returns(100, seed=6)
         track = rolling.rolling_apply(
-            series, rolling.RollingConfig(window=20, step=20), mean_estimator
+            series, 20, 20, mean_estimator
         )
         text = rolling.track_to_csv(track)
         assert text.splitlines()[0] == "window_start,window_end,mean,status"
@@ -233,7 +233,7 @@ class TestCsv:
             raise ValueError("degenerate window")
 
         track = rolling.rolling_apply(
-            make_returns(60, seed=7), rolling.RollingConfig(window=20, step=20), failing
+            make_returns(60, seed=7), 20, 20, failing
         )
         text = rolling.track_to_csv(track)
         lines = text.splitlines()
@@ -258,3 +258,10 @@ class TestCsv:
         text = f"window_start,window_end,h,status\n1,10,0.5,ok\n\n{second}\n"
         with pytest.raises(ValueError, match="^line 4: window_end 10 repeats line 2$"):
             rolling.read_track_csv(text)
+
+    @pytest.mark.parametrize("header", ["window_start,window_end,h2,h2,status",
+                                        "window_start,window_end,window_end,status"])
+    def test_header_naming_a_column_twice(self, header):
+        cells = ",".join(["1"] * (len(header.split(",")) - 1))
+        with pytest.raises(ValueError, match="^line 1: the header names column .* twice$"):
+            rolling.read_track_csv(f"{header}\n{cells},ok\n")
