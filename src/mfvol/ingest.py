@@ -520,6 +520,6 @@ def _return_series(times, values) -> ReturnSeries:
     delta_t = None
     if len(times) > 1:
         step = int(np.min(np.diff(times)))
-        if step > 0 and step % 60 == 0:
+        if step % 60 == 0:
             delta_t = step // 60
     return ReturnSeries(delta_t or 1, times, np.ascontiguousarray(values, dtype=np.float64))

@@ -316,11 +316,26 @@ _EOL = st.sampled_from(["\n", "\r\n"])
 _FILE_EOL = st.sampled_from(["\n", "\r\n", "\r"])  # a text-mode read turns all to LF
 
 
-def _text(valid_row, eol=_EOL):
-    """Text of valid rows with up to two odd lines put in, each ended by ``eol``."""
+@st.composite
+def _return_rows(draw):
+    """Up to 12 returns rows, some with a flag field, whose timestamps strictly
+    increase, so that a text without odd lines passes the array read's check."""
+    t = draw(st.integers(0, 10**10))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.one_of(st.integers(1, 10**8), st.integers(1, 1440).map(lambda k: 60 * k)))
+        rows.append(",".join([str(t), draw(_RETURNS)] + draw(st.sampled_from([[], ["ok"]]))))
+    return rows
+
+
+_TICK_ROWS = st.lists(st.tuples(_TIMES, _PRICES, _AMOUNTS).map(",".join), max_size=12)
+
+
+def _text(valid_rows, eol=_EOL):
+    """Text of drawn valid rows with up to two odd lines put in, each ended by ``eol``."""
     @st.composite
     def text(draw):
-        lines = draw(st.lists(valid_row, max_size=12))
+        lines = draw(valid_rows)
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
         return "".join(line + draw(eol) for line in lines)
@@ -331,13 +346,12 @@ def _text(valid_row, eol=_EOL):
 class TestFastPathMatchesLineLoop:
     """The one-array read answers exactly as the line loop it short-cuts."""
 
-    @given(_text(st.tuples(_TIMES, _PRICES, _AMOUNTS).map(",".join)))
+    @given(_text(_TICK_ROWS))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_parse_ticks(self, text):
         assert _outcome(ingest.parse_ticks, text) == _outcome(ingest._parse_tick_lines, text)
 
-    @given(_text(st.one_of(st.tuples(_TIMES, _RETURNS),
-                           st.tuples(_TIMES, _RETURNS, st.just("ok"))).map(",".join)),
+    @given(_text(_return_rows()),
            st.sampled_from(["", "timestamp,value,flag\n", "Timestamp,value\r\n", "\n", "x,y\n"]))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_read_returns_csv(self, body, header):
@@ -373,7 +387,7 @@ class TestPathMatchesLineLoop:
             return _outcome(parse, file), _outcome(loop, file.read_text(encoding="utf-8"))
 
     # 16 characters a read puts most files' line-break check across chunks
-    @given(_text(st.tuples(_TIMES, _PRICES, _AMOUNTS).map(",".join), _FILE_EOL),
+    @given(_text(_TICK_ROWS, _FILE_EOL),
            st.sampled_from([16, ingest._CHUNK_CHARS]))
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_parse_ticks(self, file, text, chunk_chars):
@@ -381,8 +395,7 @@ class TestPathMatchesLineLoop:
                                    chunk_chars)
         assert fast == loop
 
-    @given(_text(st.one_of(st.tuples(_TIMES, _RETURNS),
-                           st.tuples(_TIMES, _RETURNS, st.just("ok"))).map(",".join), _FILE_EOL),
+    @given(_text(_return_rows(), _FILE_EOL),
            st.sampled_from(["", "timestamp,value,flag\n", "Timestamp,value\r\n", "TIMESTAMP\r",
                             "\n", "x,y\n"]),
            st.sampled_from([16, ingest._CHUNK_CHARS]))
